@@ -139,14 +139,15 @@ def classification_error(params: NetworkParams, data: Dataset,
 
 
 def _optimizer_transition(optimizer, opt_cfg, ones_mask):
-    """Returns step(params, grads, state, mask) -> (params, state)."""
+    """Returns step(params, grads, state, mask) -> (params, state), which
+    steps params and state in place."""
     if optimizer == "sgd":
-        return lambda p, g, s, m: (sgd_step(p, g, opt_cfg), None)
+        return lambda p, g, s, m: (sgd_step(p, g, opt_cfg, out=p), None)
     if optimizer == "rprop":
-        return lambda p, g, s, m: rprop_step(p, g, s, opt_cfg)
+        return lambda p, g, s, m: rprop_step(p, g, s, opt_cfg, out=(p, s))
     if optimizer == "mod-rprop":
         return lambda p, g, s, m: dropout_rprop_step(
-            p, g, s, opt_cfg, m if m is not None else ones_mask)
+            p, g, s, opt_cfg, m if m is not None else ones_mask, out=(p, s))
     raise ValueError(
         f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_NAMES}"
     )
@@ -162,8 +163,9 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
 
     Best means lowest validation error; ties go to the earliest epoch.
     An existing `state` resumes rprop-family training; otherwise state
-    is initialized from `opt_cfg`. Raises DivergenceError when the
-    epoch training loss is not finite.
+    is initialized from `opt_cfg`. Neither `params` nor `state` is
+    modified: training steps private copies in place. Raises
+    DivergenceError when the epoch training loss is not finite.
     """
     if epoch_cap < 1:
         raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
@@ -187,8 +189,10 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
     shuffle_rng = RngStream(seed, stream_base + STREAM_SHUFFLE)
     mask_rng = RngStream(seed, stream_base + STREAM_DROPOUT)
     ones_mask = all_ones_mask(params.specs) if optimizer == "mod-rprop" else None
-    if optimizer != "sgd" and state is None:
-        state = init_rprop_state(params, opt_cfg)
+    params = params.copy()
+    if optimizer != "sgd":
+        state = (init_rprop_state(params, opt_cfg) if state is None
+                 else state.copy())
     step = _optimizer_transition(optimizer, opt_cfg, ones_mask)
 
     n = len(train)

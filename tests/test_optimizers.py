@@ -1,10 +1,12 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resprop import optimizers
 from resprop.dropout import DropoutMask, all_ones_mask
 from resprop.network import Gradients, LayerSpec, NetworkParams, chain_specs, init_params
 from resprop.optimizers import (
@@ -442,3 +444,215 @@ class TestProperties:
             assert (a == b).all()
         for a, b in zip(state.delta_w, snap_d):
             assert (a == b).all()
+
+
+class TestProductUnderflow:
+    """prev * g underflows to 0 below about 1e-308 in magnitude; the
+    branch is read from the factors' signs, so the pair still grows."""
+
+    @pytest.mark.parametrize("step", [
+        rprop_step,
+        lambda p, g, s, c: dropout_rprop_step(p, g, s, c, one_weight_mask(True)),
+    ], ids=["classic", "dropout"])
+    def test_tiny_same_sign_pair_grows(self, step):
+        assert 1e-200 * 1e-200 == 0.0
+        params, state = step(one_weight_net(w=1.0), one_weight_grads(1e-200),
+                             one_weight_state(delta=0.5, prev=1e-200), CLASSIC)
+        assert state.delta_w[0][0, 0] == 0.5 * 1.2
+        assert w_of(params) == 1.0 - 0.5 * 1.2
+        assert state.prev_w[0][0, 0] == 1e-200
+
+
+# Reference kernels: the straightforward np.where formulation of both
+# transition rules, which the fused kernel must match bit for bit. They
+# branch on the product prev * g, so they differ from the fused kernel
+# only when that product underflows to zero (see TestProductUnderflow).
+
+def _sgn(g):
+    """Sign with sgn(+-0.0) = +0.0 exactly."""
+    return np.where(g == 0.0, 0.0, np.sign(g))
+
+
+def _rprop_arrays(w, g, delta, prev, cfg):
+    """Classic kernel on one array; returns (w', delta', prev')."""
+    prod = prev * g
+    grow = prod > 0.0
+    shrink = prod < 0.0
+    delta_new = np.where(
+        grow, np.minimum(delta * cfg.eta_plus, cfg.delta_max),
+        np.where(shrink, np.maximum(delta * cfg.eta_minus, cfg.delta_min), delta),
+    )
+    w_new = np.where(shrink, w, w - _sgn(g) * delta_new)
+    prev_new = np.where(shrink, 0.0, g)
+    return w_new, delta_new, prev_new
+
+
+def _dropout_rprop_arrays(w, g, delta, prev, live, cfg):
+    """Mask-aware kernel on one array; `live` is a 0/1 mask."""
+    live = live != 0.0
+    prod = prev * g
+    grow = live & (prod > 0.0)
+    shrink = live & (prod < 0.0)
+    zero_fresh = live & (prod == 0.0) & (prev == 0.0)
+    delta_new = np.where(
+        grow, np.minimum(delta * cfg.eta_plus, cfg.delta_max),
+        np.where(shrink, np.maximum(delta * cfg.eta_minus, cfg.delta_min), delta),
+    )
+    move = grow | zero_fresh
+    w_new = np.where(move, w - _sgn(g) * delta_new, w)
+    prev_new = np.where(move, g, np.where(shrink, 0.0, prev))
+    return w_new, delta_new, prev_new
+
+
+def reference_step(params, grads, state, cfg, mask):
+    """One whole-network transition by the reference kernels; classic
+    when `mask` is None."""
+    if mask is None:
+        kernel = lambda w, g, d, p, live: _rprop_arrays(w, g, d, p, cfg)
+        wmasks = bmasks = [None] * params.num_layers
+    else:
+        kernel = lambda w, g, d, p, live: _dropout_rprop_arrays(w, g, d, p, live, cfg)
+        wmasks, bmasks = mask.weight_masks(params), mask.bias_masks(params)
+    new = ([], [], [], [], [], [])
+    for l in range(params.num_layers):
+        w, dw, pw = kernel(params.weights[l], grads.weights[l], state.delta_w[l],
+                           state.prev_w[l], wmasks[l])
+        b, db, pb = kernel(params.biases[l], grads.biases[l], state.delta_b[l],
+                           state.prev_b[l], bmasks[l])
+        for lst, x in zip(new, (w, b, dw, db, pw, pb)):
+            lst.append(x)
+    return (NetworkParams(params.specs, new[0], new[1]),
+            RpropState(new[2], new[3], new[4], new[5]))
+
+
+def all_arrays(params, state):
+    return (params.weights + params.biases + state.delta_w + state.delta_b
+            + state.prev_w + state.prev_b)
+
+
+def assert_bit_equal(got, want):
+    for a, b in zip(all_arrays(*got), all_arrays(*want), strict=True):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), (a, b)
+
+
+def signed_values(rng, shape, zero_frac):
+    """Magnitudes in [1e-3, 1e3] (no product of two underflows), random
+    signs, and a share of exact +0.0 and -0.0."""
+    x = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=shape))
+    x *= rng.choice([-1.0, 1.0], size=shape)
+    zeros = rng.random(shape) < zero_frac
+    x[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    return x
+
+
+def node_mask(rng, n):
+    mode = rng.integers(4)
+    if mode == 0:
+        return np.ones(n)
+    if mode == 1:
+        return np.zeros(n)
+    return (rng.random(n) < 0.5).astype(float)
+
+
+class TestFusedKernelMatchesReference:
+    """Multi-step random trajectories of the fused kernel against the
+    reference kernels, with every out= form and several row-block
+    sizes, compared bit for bit (signed zeros included)."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           etas=st.sampled_from([(1.2, 0.5), (1.3, 0.5), (2.0, 0.1),
+                                 (1.0, 1.0), (0.5, 2.0), (0.9, 1.5)]),
+           dropout=st.booleans(),
+           out_mode=st.sampled_from(["none", "alias", "separate"]),
+           block=st.sampled_from([1, 7, 16384]),
+           n_steps=st.integers(1, 6))
+    @settings(max_examples=120, deadline=None)
+    def test_trajectories_bit_equal(self, seed, etas, dropout, out_mode, block,
+                                    n_steps):
+        rng = np.random.default_rng(seed)
+        sizes = [int(n) for n in rng.integers(1, 9, size=rng.integers(2, 5))]
+        cfg = RpropConfig(eta_plus=etas[0], eta_minus=etas[1], delta_max=2.0,
+                          delta_min=0.01, delta_init=0.1)
+        specs = chain_specs(sizes)
+        params = NetworkParams(
+            specs, [signed_values(rng, (s.fan_in, s.fan_out), 0.1) for s in specs],
+            [signed_values(rng, (s.fan_out,), 0.1) for s in specs])
+        state = init_rprop_state(params, cfg)
+        for d in state.delta_w + state.delta_b:
+            d[...] = rng.choice([cfg.delta_min, cfg.delta_max, 0.3, 0.05], size=d.shape)
+        for pw, w in zip(state.prev_w + state.prev_b, params.weights + params.biases):
+            pw[...] = signed_values(rng, w.shape, 0.4)
+        ref = (params.copy(), state.copy())
+        with mock.patch.object(optimizers, "_BLOCK_ELEMS", block):
+            for _ in range(n_steps):
+                grads = Gradients(
+                    [signed_values(rng, w.shape, 0.3) for w in params.weights],
+                    [signed_values(rng, b.shape, 0.3) for b in params.biases])
+                mask = (DropoutMask([node_mask(rng, n) for n in sizes])
+                        if dropout else None)
+                ref = reference_step(ref[0], grads, ref[1], cfg, mask)
+                args = (grads, state, cfg) + ((mask,) if dropout else ())
+                step = dropout_rprop_step if dropout else rprop_step
+                if out_mode == "none":
+                    before = (params.copy(), state.copy())
+                    new = step(params, *args)
+                    assert_bit_equal((params, state), before)
+                elif out_mode == "alias":
+                    new = step(params, *args, out=(params, state))
+                    assert new[0] is params and new[1] is state
+                else:
+                    buffers = (params.copy(), state.copy())
+                    for a in all_arrays(*buffers):
+                        a.fill(np.nan)
+                    new = step(params, *args, out=buffers)
+                    assert new[0] is buffers[0] and new[1] is buffers[1]
+                params, state = new
+                assert_bit_equal((params, state), ref)
+
+    def test_sgd_out_forms_agree(self):
+        params = init_params(chain_specs((5, 4, 3)), RngStream(4, 0))
+        grads = random_gradient_sequence(params, 12, 1)[0]
+        cfg = SgdConfig(0.3)
+        want = [w - cfg.learning_rate * g for w, g in
+                zip(params.weights + params.biases, grads.weights + grads.biases)]
+        fresh = sgd_step(params, grads, cfg)
+        separate = sgd_step(params, grads, cfg, out=params.copy())
+        inplace = params.copy()
+        assert sgd_step(inplace, grads, cfg, out=inplace) is inplace
+        for out in (fresh, separate, inplace):
+            for a, b in zip(out.weights + out.biases, want):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_rejects_misshapen_out(self):
+        params = init_params(chain_specs((3, 4, 2)), RngStream(8, 0))
+        state = init_rprop_state(params, CLASSIC)
+        grads = random_gradient_sequence(params, 55, 1)[0]
+        other = init_params(chain_specs((3, 5, 2)), RngStream(8, 0))
+        with pytest.raises(ValueError, match="output shapes"):
+            rprop_step(params, grads, state, CLASSIC,
+                       out=(other, init_rprop_state(other, CLASSIC)))
+        with pytest.raises(ValueError, match="output shapes"):
+            sgd_step(params, grads, SgdConfig(0.1), out=other)
+
+    def test_rejects_missing_layers(self):
+        # a 3-3-3 net would otherwise broadcast a one-row gradient over
+        # the second weight matrix
+        params = init_params(chain_specs((3, 3, 3)), RngStream(8, 0))
+        state = init_rprop_state(params, CLASSIC)
+        short = Gradients(params.weights[:1], params.biases[:1])
+        with pytest.raises(ValueError, match="2-layer network"):
+            rprop_step(params, short, state, CLASSIC)
+        with pytest.raises(ValueError, match="2-layer network"):
+            sgd_step(params, short, SgdConfig(0.1))
+        state.prev_b.pop()
+        with pytest.raises(ValueError, match="2-layer network"):
+            rprop_step(params, random_gradient_sequence(params, 1, 1)[0],
+                       state, CLASSIC)
+
+    def test_rejects_non_float64_arrays(self):
+        params = init_params(chain_specs((3, 2)), RngStream(8, 0))
+        state = init_rprop_state(params, CLASSIC)
+        grads = Gradients([np.ones((3, 2), dtype=np.float32)], [np.ones(2)])
+        with pytest.raises(ValueError, match="float64"):
+            rprop_step(params, grads, state, CLASSIC)

@@ -4,7 +4,7 @@ import pytest
 from resprop.data import Dataset
 from resprop.dropout import DropoutSpec
 from resprop.network import LayerSpec, NetworkParams, chain_specs, init_params
-from resprop.optimizers import RpropConfig, SgdConfig
+from resprop.optimizers import RpropConfig, SgdConfig, init_rprop_state
 from resprop.tensor import RngStream
 from resprop.training import (
     DivergenceError,
@@ -156,6 +156,26 @@ class TestTrainLoop:
         resumed = fit(toy_splits, "rprop", cfg, epochs=1,
                       state=full.final_state)
         assert resumed.rows[0].val_err >= 0.0
+
+    @pytest.mark.parametrize("optimizer,cfg,dropout", [
+        ("sgd", SgdConfig(0.1), None),
+        ("rprop", RpropConfig(delta_init=0.01), None),
+        ("mod-rprop", RpropConfig(delta_init=0.01), DropoutSpec((0.0, 0.5))),
+    ])
+    def test_inputs_left_untouched(self, toy_splits, optimizer, cfg, dropout):
+        train, val = toy_splits
+        params = init_params(chain_specs(SIZES), RngStream(7, 0))
+        state = None if optimizer == "sgd" else init_rprop_state(params, cfg)
+        arrays = lambda: (params.weights + params.biases + (
+            [] if state is None else
+            state.delta_w + state.delta_b + state.prev_w + state.prev_b))
+        before = [a.copy() for a in arrays()]
+        res = train_model(params, train, val, optimizer, cfg, epoch_cap=2,
+                          batch_size=32, seed=7, dropout=dropout, state=state)
+        for a, b in zip(arrays(), before, strict=True):
+            assert np.array_equal(a, b)
+        assert any((a != b).any() for a, b in
+                   zip(res.final_params.weights, params.weights))
 
     def test_sgd_has_no_state(self, toy_splits):
         res = fit(toy_splits, "sgd", SgdConfig(0.1), epochs=1)
