@@ -64,7 +64,7 @@ from .optimizers import (
 )
 from .serialization import load_checkpoint, save_checkpoint
 from .stats import WilcoxonResult, wilcoxon_signed_rank
-from .tensor import RngStream, matmul
+from .tensor import RngStream
 from .training import (
     DivergenceError,
     EpochRow,
@@ -94,7 +94,7 @@ __all__ = [
     "init_rprop_state", "rprop_step", "sgd_step",
     "load_checkpoint", "save_checkpoint",
     "WilcoxonResult", "wilcoxon_signed_rank",
-    "RngStream", "matmul",
+    "RngStream",
     "DivergenceError", "EpochRow", "TrainResult", "classification_error",
     "counter_clock", "train_model", "wall_clock",
     "__version__",

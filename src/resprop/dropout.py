@@ -80,9 +80,6 @@ class DropoutMask:
         if len(self.scales) != len(self.node_masks):
             raise ValueError("need one scale per node layer")
 
-    def num_node_layers(self) -> int:
-        return len(self.node_masks)
-
     def weight_masks(self, params: NetworkParams):
         """Weight-space masks congruent with `params` (one per layer)."""
         self._check_congruent(params)

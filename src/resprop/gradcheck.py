@@ -60,9 +60,6 @@ class GradCheckReport:
     tol: float
     worst_location: str        # "layer L weights[i,j]" style
 
-    def passed(self, worst_tol: float = 1e-4) -> bool:
-        return self.max_rel_err <= worst_tol
-
 
 def gradient_check(params: NetworkParams, x, labels, h: float = DEFAULT_H,
                    tol: float = 1e-5, mask=None,

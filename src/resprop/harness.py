@@ -152,7 +152,7 @@ class ExperimentConfig:
 
     def optimizer_config(self):
         if self.optimizer == "sgd":
-            return SgdConfig(self.learning_rate, self.batch_size)
+            return SgdConfig(self.learning_rate)
         return RpropConfig(self.eta_plus, self.eta_minus, self.delta_max,
                            self.delta_min, self.delta_init)
 

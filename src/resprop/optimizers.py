@@ -73,13 +73,10 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class SgdConfig:
     learning_rate: float = 0.01
-    minibatch_size: int = 128
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.minibatch_size < 1:
-            raise ValueError(f"minibatch_size must be >= 1, got {self.minibatch_size}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
-"""Dense matrix helpers and a small deterministic random number generator.
+"""A small deterministic random number generator.
 
-Everything downstream works on plain ``numpy.float64`` arrays in row-major
-(C) order. The RNG is implemented in-repo so that any (seed, stream_id)
-pair produces bit-identical draws on every platform, independent of
-numpy's own generator versioning.
+The RNG is implemented in-repo so that any (seed, stream_id) pair
+produces bit-identical draws on every platform, independent of numpy's
+own generator versioning.
 """
 
 from __future__ import annotations
@@ -30,12 +29,24 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized `_mix64` over a uint64 array (modular arithmetic)."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_MULT_1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_MULT_2)
-        return z ^ (z >> np.uint64(31))
+def _unit(raw: int) -> float:
+    """The unit uniform of one raw draw: its high 53 bits times 2^-53."""
+    return (raw >> 11) * 2.0**-53
+
+
+# Draws per pass of `_next_block`: the pass and its scratch (128 KiB
+# each) stay in L2 while the finalizer runs over them.
+_BLOCK_DRAWS = 16384
+
+
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """`_mix64` over a uint64 array in place; tmp is same-size scratch."""
+    for shift, mult in ((30, _MIX_MULT_1), (27, _MIX_MULT_2)):
+        np.right_shift(z, shift, out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, np.uint64(mult), out=z)
+    np.right_shift(z, 31, out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
 
 
 class RngStream:
@@ -80,16 +91,28 @@ class RngStream:
         self._position += 1
         return _mix64(self._state)
 
+    def _peek(self, k: int) -> float:
+        """The `uniform()` draw k places ahead (0 = the next), unconsumed."""
+        return _unit(_mix64(self._state + (k + 1) * self._gamma))
+
     def _next_block(self, n: int) -> np.ndarray:
         """n raw draws as uint64, bit-identical to n `next_uint64` calls."""
         if n < 0:
             raise ValueError(f"block size must be >= 0, got {n}")
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            states = np.uint64(self._state) + np.uint64(self._gamma) * steps
+        out = np.empty(n, dtype=np.uint64)
+        m = min(n, _BLOCK_DRAWS)
+        # ramp[j] = (j + 1) * gamma mod 2^64; each pass adds its base state
+        ramp = np.arange(1, m + 1, dtype=np.uint64)
+        np.multiply(ramp, np.uint64(self._gamma), out=ramp)
+        tmp = np.empty(m, dtype=np.uint64)
+        for a in range(0, n, _BLOCK_DRAWS):
+            z = out[a:a + _BLOCK_DRAWS]
+            base = (self._state + a * self._gamma) & _MASK64
+            np.add(ramp[:len(z)], np.uint64(base), out=z)
+            _mix64_inplace(z, tmp[:len(z)])
         self._state = (self._state + n * self._gamma) & _MASK64
         self._position += n
-        return _mix64_array(states)
+        return out
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         """Uniform float64 draws in [low, high).
@@ -98,12 +121,16 @@ class RngStream:
         the high 53 bits scaled by 2^-53.
         """
         if size is None:
-            u = (self.next_uint64() >> 11) * 2.0**-53
-            return low + (high - low) * u
+            return low + (high - low) * _unit(self.next_uint64())
         shape = (size,) if np.isscalar(size) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
-        u = (self._next_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return (low + (high - low) * u).reshape(shape)
+        bits = self._next_block(n)
+        np.right_shift(bits, 11, out=bits)
+        u = bits.view(np.int64).astype(np.float64)  # < 2^53: exact, faster
+        u *= 2.0**-53
+        u *= high - low
+        u += low    # low + (high - low) * u, as in the scalar path
+        return u.reshape(shape)
 
     def integers(self, upper: int, size=None):
         """Draws from {0, ..., upper-1} via floor(uniform * upper).
@@ -122,39 +149,3 @@ class RngStream:
         """Deterministic permutation of range(n): stable argsort of n draws."""
         keys = self._next_block(n)
         return np.argsort(keys, kind="stable")
-
-    def shuffled(self, arr: np.ndarray) -> np.ndarray:
-        return arr[self.permutation(len(arr))]
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape validation.
-
-    Raises ValueError reporting both shapes when the inner dimensions
-    disagree or either argument is not 2-D.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(
-            f"matmul expects 2-D operands, got shapes {a.shape} and {b.shape}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: {a.shape[0]}x{a.shape[1]} times "
-            f"{b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def bernoulli_matrix(rng: RngStream, rows: int, cols: int, p_one: float) -> np.ndarray:
-    """rows x cols matrix of {0.0, 1.0}, each entry 1 with probability p_one.
-
-    Consumes exactly rows*cols draws from `rng` regardless of p_one.
-    """
-    if not 0.0 <= p_one <= 1.0:
-        raise ValueError(f"p_one must lie in [0, 1], got {p_one}")
-    if rows < 0 or cols < 0:
-        raise ValueError(f"matrix dims must be >= 0, got {rows}x{cols}")
-    u = rng.uniform(size=(rows, cols))
-    return (u < p_one).astype(np.float64)

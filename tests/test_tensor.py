@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resprop.tensor import RngStream, bernoulli_matrix, matmul
+from resprop.tensor import _BLOCK_DRAWS, RngStream
 
 
 class TestRngStream:
@@ -35,6 +37,48 @@ class TestRngStream:
                             dtype=np.uint64)
         got = block._next_block(n)
         assert (got == expected).all()
+
+    @pytest.mark.parametrize("n", [_BLOCK_DRAWS - 1, _BLOCK_DRAWS,
+                                   _BLOCK_DRAWS + 1, 3 * _BLOCK_DRAWS + 7])
+    def test_block_draws_cross_pass_boundaries(self, n):
+        scalar = RngStream(2**64 - 5, 9)
+        block = RngStream(2**64 - 5, 9)
+        scalar.next_uint64()
+        block.next_uint64()
+        expected = np.array([scalar.next_uint64() for _ in range(n)],
+                            dtype=np.uint64)
+        got = block._next_block(n)
+        assert got.dtype == np.uint64 and (got == expected).all()
+        assert block.position == scalar.position == n + 1
+        assert block.next_uint64() == scalar.next_uint64()
+
+    def test_peek_does_not_consume(self):
+        rng = RngStream(8, 1)
+        rng.uniform(size=5)
+        state, position = rng._state, rng.position
+        ahead = [rng._peek(k) for k in (2, 0, 1, 2)]
+        assert (rng._state, rng.position) == (state, position)
+        drawn = [rng.uniform() for _ in range(3)]
+        assert ahead == [drawn[2], drawn[0], drawn[1], drawn[2]]
+
+    def test_pinned_uniform_and_permutation(self):
+        # values measured before block draws were computed in passes
+        rng = RngStream(2024, 3)
+        assert [float(x).hex() for x in rng.uniform(-1.0, 3.0, size=4)] == [
+            "0x1.83c0f88a49200p-8", "-0x1.ee8564e3e504cp-1",
+            "0x1.3adda01161240p-1", "0x1.db4692d00f5a4p+0"]
+        assert rng.permutation(12).tolist() == \
+            [10, 5, 11, 4, 9, 6, 7, 1, 8, 2, 3, 0]
+        assert rng.position == 16
+        rng = RngStream(77, 2)
+        u = rng.uniform(0.5, 2.0, size=30001)
+        perm = rng.permutation(30001).astype(np.int64)
+        assert hashlib.sha256(u.tobytes()).hexdigest() == (
+            "a8e270a9cb7de8c74ab49c9680a42f57e74d51cf420c2a8c6a726a93d8cc568c")
+        assert hashlib.sha256(perm.tobytes()).hexdigest() == (
+            "f6ed5c549fb76cafe326a323b1e9fb835c44e5aba4dd870fc7756d46e8e39b07")
+        assert rng.position == 60002
+        assert rng.next_uint64() == 9304586329907038536
 
     def test_mixed_consumption_is_one_sequence(self):
         a = RngStream(3, 5)
@@ -105,54 +149,3 @@ class TestRngStream:
         rng.uniform(size=9)
         assert rng.position == 10
 
-
-class TestMatmul:
-    def test_matches_numpy(self):
-        rng = RngStream(2, 0)
-        a = rng.uniform(-1, 1, size=(7, 5)).reshape(7, 5)
-        b = rng.uniform(-1, 1, size=(5, 3)).reshape(5, 3)
-        assert np.allclose(matmul(a, b), a @ b)
-
-    def test_identity(self):
-        a = np.arange(12, dtype=np.float64).reshape(3, 4)
-        assert (matmul(a, np.eye(4)) == a).all()
-
-    def test_rejects_inner_dim_mismatch(self):
-        with pytest.raises(ValueError, match="2x3 times 4x5"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
-
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
-           st.integers(0, 2**31))
-    @settings(max_examples=30, deadline=None)
-    def test_associates_with_identity_scaling(self, n, m, k, seed):
-        rng = RngStream(seed, 1)
-        a = rng.uniform(-2, 2, size=(n, m)).reshape(n, m)
-        b = rng.uniform(-2, 2, size=(m, k)).reshape(m, k)
-        assert np.allclose(matmul(2.0 * a, b), 2.0 * matmul(a, b))
-
-
-class TestBernoulliMatrix:
-    def test_values_binary_and_shape(self):
-        rng = RngStream(4, 0)
-        m = bernoulli_matrix(rng, 13, 7, 0.4)
-        assert m.shape == (13, 7)
-        assert np.isin(m, (0.0, 1.0)).all()
-
-    def test_consumes_rows_times_cols_draws(self):
-        rng = RngStream(4, 0)
-        bernoulli_matrix(rng, 13, 7, 0.4)
-        assert rng.position == 13 * 7
-
-    def test_all_or_nothing_rates(self):
-        rng = RngStream(4, 0)
-        assert (bernoulli_matrix(rng, 5, 5, 1.0) == 1.0).all()
-        assert (bernoulli_matrix(rng, 5, 5, 0.0) == 0.0).all()
-
-    def test_mean_tracks_probability(self):
-        rng = RngStream(10, 0)
-        m = bernoulli_matrix(rng, 200, 200, 0.3)
-        assert abs(m.mean() - 0.3) < 0.02
