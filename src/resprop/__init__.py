@@ -19,7 +19,8 @@ from .data import (
     read_idx,
     serialize_idx,
 )
-from .dropout import DropoutMask, DropoutSpec, all_ones_mask, apply_mask, sample_mask
+from .dropout import (DropoutMask, DropoutSpec, all_ones_mask, apply_mask,
+                      sample_mask, sample_masks)
 from .ensemble import (
     EnsembleModel,
     EnsembleSpec,
@@ -51,6 +52,7 @@ from .network import (
     forward,
     init_params,
     nll_loss,
+    probabilities,
     softmax,
 )
 from .optimizers import (
@@ -82,6 +84,7 @@ __all__ = [
     "load_splits_from_dir", "load_test_set", "parse_idx", "read_idx",
     "serialize_idx",
     "DropoutMask", "DropoutSpec", "all_ones_mask", "apply_mask", "sample_mask",
+    "sample_masks",
     "EnsembleModel", "EnsembleSpec", "StackerSpec", "aggregate",
     "bootstrap_resample", "stack_features", "train_ensemble",
     "finite_difference_gradients", "gradient_check",
@@ -89,7 +92,7 @@ __all__ = [
     "export_metrics", "parse_config", "parse_metrics", "read_config",
     "run_experiment", "train_run",
     "Gradients", "LayerSpec", "NetworkParams", "backward", "chain_specs",
-    "forward", "init_params", "nll_loss", "softmax",
+    "forward", "init_params", "nll_loss", "probabilities", "softmax",
     "RpropConfig", "RpropState", "SgdConfig", "dropout_rprop_step",
     "init_rprop_state", "rprop_step", "sgd_step",
     "load_checkpoint", "save_checkpoint",

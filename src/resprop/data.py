@@ -136,7 +136,8 @@ def _images_to_dataset(images: np.ndarray, labels: np.ndarray,
         raise ValueError(
             f"labels must be digit classes in [0, 10), got max {labels.max()}"
         )
-    flat = images.reshape(n, -1).astype(np.float64) / 255.0
+    flat = images.reshape(n, -1).astype(np.float64)
+    flat /= 255.0
     return Dataset(flat, labels.astype(np.int64), tag)
 
 

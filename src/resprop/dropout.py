@@ -80,6 +80,15 @@ class DropoutMask:
         if len(self.scales) != len(self.node_masks):
             raise ValueError("need one scale per node layer")
 
+    @classmethod
+    def _sampled(cls, node_masks, scales) -> "DropoutMask":
+        """A mask over float64 0/1 vectors made by `sample_masks`, which
+        are 0/1 by construction and so skip the entry check."""
+        mask = cls.__new__(cls)
+        mask.node_masks = node_masks
+        mask.scales = scales
+        return mask
+
     def weight_masks(self, params: NetworkParams):
         """Weight-space masks congruent with `params` (one per layer)."""
         self._check_congruent(params)
@@ -108,12 +117,16 @@ def all_ones_mask(specs) -> DropoutMask:
     return DropoutMask([np.ones(n) for n in _node_sizes(specs)])
 
 
-def sample_mask(spec: DropoutSpec, architecture, rng: RngStream) -> DropoutMask:
-    """Sample one iteration's mask: node i muted with its layer's rate.
+def sample_masks(spec: DropoutSpec, architecture, rng: RngStream,
+                 count: int) -> list[DropoutMask]:
+    """Sample `count` successive iterations' masks from one block draw.
 
-    Consumes one draw per non-output node. Surviving nodes get scale
-    1/(1-rate) so the full network needs no rescaling at evaluation;
-    the output layer is all-live at scale 1.
+    Each mask consumes one draw per non-output node, input layer first,
+    and mutes node i when its draw falls below its layer's rate.
+    Surviving nodes get scale 1/(1-rate) so the full network needs no
+    rescaling at evaluation; the output layer is all-live at scale 1.
+    The masks and the stream's final position equal those of `count`
+    successive `sample_mask` calls. The masks share read-only arrays.
     """
     specs = [s if isinstance(s, LayerSpec) else LayerSpec(*s) for s in architecture]
     sizes = _node_sizes(specs)
@@ -122,15 +135,24 @@ def sample_mask(spec: DropoutSpec, architecture, rng: RngStream) -> DropoutMask:
             f"dropout spec has {len(spec.rates)} rates but the architecture "
             f"has {len(sizes) - 1} maskable node layers"
         )
-    node_masks = []
-    scales = []
-    for rate, n in zip(spec.rates, sizes[:-1]):
-        u = rng.uniform(size=n)
-        node_masks.append((u >= rate).astype(np.float64))
-        scales.append(1.0 / (1.0 - rate))
-    node_masks.append(np.ones(sizes[-1]))
-    scales.append(1.0)
-    return DropoutMask(node_masks, scales)
+    if count < 0:
+        raise ValueError(f"mask count must be >= 0, got {count}")
+    live = rng.uniform(size=(count, sum(sizes[:-1])))
+    np.copyto(live, live >= np.repeat(spec.rates, sizes[:-1]))  # draws -> 0/1
+    live.flags.writeable = False
+    outputs = np.ones(sizes[-1])
+    outputs.flags.writeable = False
+    bounds = np.cumsum([0] + sizes[:-1]).tolist()
+    scales = [1.0 / (1.0 - rate) for rate in spec.rates] + [1.0]
+    return [DropoutMask._sampled(
+                [row[a:b] for a, b in zip(bounds, bounds[1:])] + [outputs],
+                list(scales))
+            for row in live]
+
+
+def sample_mask(spec: DropoutSpec, architecture, rng: RngStream) -> DropoutMask:
+    """Sample one iteration's mask: `sample_masks` with a count of 1."""
+    return sample_masks(spec, architecture, rng, 1)[0]
 
 
 def apply_mask(params: NetworkParams, mask: DropoutMask) -> NetworkParams:

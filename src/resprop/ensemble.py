@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset, DataSplits
 from .dropout import DropoutSpec
-from .network import NetworkParams, chain_specs, forward, init_params
+from .network import NetworkParams, chain_specs, init_params, probabilities
 from .optimizers import RpropConfig
 from .tensor import RngStream
 from .training import (
@@ -175,8 +175,7 @@ class EnsembleModel:
         if self.spec.kind == "bagging":
             return aggregate(probs, self.spec.aggregation)
         features = stack_features(probs)
-        out = forward(self.stacker, features).probabilities
-        return np.argmax(out, axis=1)
+        return np.argmax(probabilities(self.stacker, features), axis=1)
 
     def classification_error(self, data: Dataset) -> float:
         return float(np.mean(self.predict(data.images) != data.labels))
@@ -288,15 +287,20 @@ def load_ensemble(ens_dir) -> EnsembleModel:
     """Rebuild an EnsembleModel from a directory written by save_ensemble."""
     ens_dir = Path(ens_dir)
     manifest = json.loads((ens_dir / MANIFEST_NAME).read_text())
-    spec = EnsembleSpec(
-        kind=manifest["kind"],
-        size=manifest["size"],
-        member_sizes=tuple(manifest["member_sizes"]),
-        member_epoch_cap=manifest["member_epoch_cap"],
-        aggregation=manifest["aggregation"],
-    )
+    try:
+        spec = EnsembleSpec(
+            kind=manifest["kind"],
+            size=manifest["size"],
+            member_sizes=tuple(manifest["member_sizes"]),
+            member_epoch_cap=manifest["member_epoch_cap"],
+            aggregation=manifest["aggregation"],
+        )
+        member_names = manifest["member_checkpoints"]
+    except KeyError as exc:
+        raise ValueError(f"ensemble manifest {ens_dir / MANIFEST_NAME} "
+                         f"is missing key {exc}") from None
     members = []
-    for name in manifest["member_checkpoints"]:
+    for name in member_names:
         params, _, _ = serialization.load_checkpoint(ens_dir / name)
         members.append(params)
     stacker = None

@@ -18,6 +18,13 @@ masked node activations are zeroed and surviving ones multiplied by the
 mask's per-layer scale (1/(1-rate) when sampled), so evaluation of the
 full network uses the weights as-is. Gradients of weights incident to a
 masked node are exactly zero.
+
+`forward` and the cache-free `probabilities` share one layer loop and
+give identical bits. Both work in place on arrays they made and never
+write the input; `forward` puts each cached activation in a new array,
+`probabilities` overwrites each layer's matmul output. Multiplications
+that are exactly the identity (an all-live node layer at scale 1, the
+identity activation's derivative) are skipped, in `backward` too.
 """
 
 from __future__ import annotations
@@ -31,20 +38,16 @@ ACTIVATIONS = ("rectifier", "logistic", "tanh", "identity")
 LOSS_PROB_FLOOR = 1e-300
 
 
-def _rectifier(z):
-    return np.maximum(z, 0.0)
-
-
-def _rectifier_deriv(z):
-    return (z > 0.0).astype(np.float64)
-
-
-def _logistic(z):
-    out = np.empty_like(z)
+# Each activation is (act(z, out), scale_by_deriv(d, z)). `act` writes
+# into `out` when given (it may be z itself) and otherwise into a new
+# array; `scale_by_deriv` multiplies d in place by the derivative at z.
+def _logistic(z, out=None):
     pos = z >= 0
+    neg = ~pos
+    ez = np.exp(z[neg])  # read before `out`, which may be z, is written
+    out = np.empty_like(z) if out is None else out
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    out[neg] = ez / (1.0 + ez)
     return out
 
 
@@ -54,10 +57,15 @@ def _logistic_deriv(z):
 
 
 _ACT = {
-    "rectifier": (_rectifier, _rectifier_deriv),
-    "logistic": (_logistic, _logistic_deriv),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
+    "rectifier": (lambda z, out: np.maximum(z, 0.0, out=out),
+                  lambda d, z: np.multiply(d, z > 0.0, out=d)),
+    "logistic": (_logistic,
+                 lambda d, z: np.multiply(d, _logistic_deriv(z), out=d)),
+    "tanh": (lambda z, out: np.tanh(z, out=out),
+             lambda d, z: np.multiply(d, 1.0 - np.tanh(z) ** 2, out=d)),
+    # d * 1.0 is d exactly, so the identity derivative is skipped
+    "identity": (lambda z, out: z if out is not None else z.copy(),
+                 lambda d, z: d),
 }
 
 
@@ -188,11 +196,17 @@ def init_params(specs, rng, scale_rule: str = "uniform-fan-in") -> NetworkParams
     return NetworkParams(tuple(specs), weights, biases)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for overflow safety."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with per-row max subtraction for overflow safety.
+
+    The result goes into `out` when given (it may be `logits` itself),
+    else into one new array.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    e = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 @dataclass
@@ -219,41 +233,77 @@ def _check_mask(params: NetworkParams, mask) -> None:
         )
 
 
-def forward(params: NetworkParams, x: np.ndarray, mask=None) -> ForwardPass:
-    """Run the network on a batch, optionally through a dropout mask.
-
-    Returns the per-layer caches plus row-normalized class
-    probabilities. With a mask, masked nodes contribute exactly zero
-    downstream and surviving activations carry the mask's scale.
-    """
+def _check_input(params: NetworkParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_width:
         raise ValueError(
             f"input shape {x.shape} does not match network input width "
             f"{params.input_width}"
         )
+    return x
+
+
+def _node_factor(mask, layer: int):
+    """What node layer `layer`'s activations are multiplied by under
+    `mask`, or None when that is exactly the identity (no mask, or all
+    nodes live at scale 1)."""
+    if mask is None:
+        return None
+    m, s = mask.node_masks[layer], mask.scales[layer]
+    return None if s == 1.0 and m.all() else m * s
+
+
+def _layers(params: NetworkParams, a: np.ndarray, mask=None,
+            layer_inputs=None, pre_activations=None) -> np.ndarray:
+    """Class probabilities of batch `a`: the layer loop of `forward`
+    and `probabilities`. `a` itself is never written.
+
+    With cache lists, each pre-activation is appended to
+    `pre_activations` and each activation goes into a new array that
+    is appended to `layer_inputs`. Without them, each layer's
+    activation and the softmax overwrite that layer's matmul output.
+    """
+    keep = layer_inputs is not None
+    last = params.num_layers - 1
+    for l, (spec, w, b) in enumerate(zip(params.specs, params.weights,
+                                         params.biases)):
+        z = a @ w
+        z += b
+        a = _ACT[spec.activation][0](z, None if keep else z)
+        if keep:
+            pre_activations.append(z)
+        if l < last:
+            factor = _node_factor(mask, l + 1)
+            if factor is not None:
+                a *= factor
+            if keep:
+                layer_inputs.append(a)
+    return softmax(a, out=a)
+
+
+def forward(params: NetworkParams, x: np.ndarray, mask=None) -> ForwardPass:
+    """Run the network on a batch, optionally through a dropout mask.
+
+    Returns the per-layer caches plus row-normalized class
+    probabilities. With a mask, masked nodes contribute exactly zero
+    downstream and surviving activations carry the mask's scale. Every
+    cached array is new except the input, which is cached as given
+    when the mask leaves it unchanged.
+    """
+    x = _check_input(params, x)
     if mask is not None:
         _check_mask(params, mask)
-        a = x * (mask.node_masks[0] * mask.scales[0])
-    else:
-        a = x
-
-    layer_inputs = [a]
-    pre_activations = []
-    n_layers = params.num_layers
-    for l in range(n_layers):
-        z = a @ params.weights[l] + params.biases[l]
-        pre_activations.append(z)
-        act, _ = _ACT[params.specs[l].activation]
-        h = act(z)
-        if l < n_layers - 1:
-            if mask is not None:
-                h = h * (mask.node_masks[l + 1] * mask.scales[l + 1])
-            a = h
-            layer_inputs.append(a)
-        else:
-            probs = softmax(h)
+    factor = _node_factor(mask, 0)
+    a = x if factor is None else x * factor
+    layer_inputs, pre_activations = [a], []
+    probs = _layers(params, a, mask, layer_inputs, pre_activations)
     return ForwardPass(params, mask, layer_inputs, pre_activations, probs)
+
+
+def probabilities(params: NetworkParams, x: np.ndarray) -> np.ndarray:
+    """The class probabilities of `forward(params, x)`, computed without
+    keeping any per-layer cache."""
+    return _layers(params, _check_input(params, x))
 
 
 def nll_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:
@@ -296,26 +346,20 @@ def backward(params: NetworkParams, cache: ForwardPass, labels: np.ndarray,
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
 
-    probs = cache.probabilities
-    k = probs.shape[1]
-    d_out = probs.copy()
-    d_out[np.arange(n), labels] -= 1.0
-    d_out /= n
+    dz = cache.probabilities.copy()
+    dz[np.arange(n), labels] -= 1.0
+    dz /= n
 
     n_layers = params.num_layers
     grads_w: list[np.ndarray] = [None] * n_layers
     grads_b: list[np.ndarray] = [None] * n_layers
-
-    _, dact = _ACT[params.specs[-1].activation]
-    dz = d_out * dact(cache.pre_activations[-1])
     for l in range(n_layers - 1, -1, -1):
-        a_prev = cache.layer_inputs[l]
-        grads_w[l] = a_prev.T @ dz
+        _ACT[params.specs[l].activation][1](dz, cache.pre_activations[l])
+        grads_w[l] = cache.layer_inputs[l].T @ dz
         grads_b[l] = dz.sum(axis=0)
         if l > 0:
-            da = dz @ params.weights[l].T
-            if mask is not None:
-                da = da * (mask.node_masks[l] * mask.scales[l])
-            _, dact = _ACT[params.specs[l - 1].activation]
-            dz = da * dact(cache.pre_activations[l - 1])
+            dz = dz @ params.weights[l].T
+            factor = _node_factor(mask, l)
+            if factor is not None:
+                dz *= factor
     return Gradients(grads_w, grads_b)

@@ -100,28 +100,41 @@ def save_checkpoint(path, params: NetworkParams,
     Path(path).write_bytes(b"".join(head) + b"".join(sections))
 
 
+def _read(fmt: str, data: bytes, offset: int, what: str) -> tuple:
+    """struct.unpack_from, raising ValueError on a short file."""
+    if offset + struct.calcsize(fmt) > len(data):
+        raise ValueError(
+            f"truncated checkpoint: {what} at byte {offset} needs "
+            f"{struct.calcsize(fmt)} bytes but the file ends at {len(data)}"
+        )
+    return struct.unpack_from(fmt, data, offset)
+
+
 def load_checkpoint(path):
-    """Read a checkpoint: (params, state or None, rprop config or None)."""
+    """Read a checkpoint: (params, state or None, rprop config or None).
+
+    Any malformed or truncated file raises ValueError.
+    """
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise ValueError(f"not a checkpoint file: bad magic {data[:4]!r}")
-    version, n_layers = struct.unpack_from("<HI", data, 4)
+    version, n_layers = _read("<HI", data, 4, "header")
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     offset = 10
     specs = []
     for _ in range(n_layers):
-        fan_in, fan_out, act = struct.unpack_from("<IIB", data, offset)
+        fan_in, fan_out, act = _read("<IIB", data, offset, "layer table")
         offset += 9
         if act not in _ACT_NAMES:
             raise ValueError(f"unknown activation code {act} in checkpoint")
         specs.append(LayerSpec(fan_in, fan_out, _ACT_NAMES[act]))
-    (n_sections,) = struct.unpack_from("<I", data, offset)
+    (n_sections,) = _read("<I", data, offset, "section count")
     offset += 4
     sections = {}
     for _ in range(n_sections):
-        tag = data[offset:offset + 8].decode("ascii").strip()
-        (length,) = struct.unpack_from("<Q", data, offset + 8)
+        raw_tag, length = _read("<8sQ", data, offset, "section header")
+        tag = raw_tag.decode("ascii").strip()
         start = offset + 16
         if start + length > len(data):
             raise ValueError(
@@ -144,6 +157,9 @@ def load_checkpoint(path):
 
     cfg = None
     if "rprophp" in sections:
-        vals = struct.unpack("<5d", sections["rprophp"])
-        cfg = RpropConfig(*vals)
+        hp = sections["rprophp"]
+        if len(hp) != struct.calcsize("<5d"):
+            raise ValueError(f"rprophp section holds {len(hp)} bytes, "
+                             f"expected {struct.calcsize('<5d')}")
+        cfg = RpropConfig(*struct.unpack("<5d", hp))
     return params, state, cfg

@@ -11,12 +11,15 @@ The per-epoch training loss is the example-weighted mean of the
 minibatch losses, i.e. the mean loss over every training example as it
 was actually presented (mask included). Validation error is the argmax
 mismatch fraction of the unmasked network, which is directly usable
-because sampled masks carry inverted scaling.
+because sampled masks carry inverted scaling; it runs the cache-free
+`network.probabilities` pass.
 
 RNG discipline: each consumer owns a private stream derived from
 (seed, stream_base + offset), with the offsets below. Ensemble members
 space their bases MEMBER_STREAM_STRIDE apart, so no two consumers in a
-process share a stream.
+process share a stream. The mask stream is drawn in blocks of several
+steps' masks (`sample_masks`), which gives the same masks as one
+`sample_mask` call per step.
 
 Timing is injectable: `wall_clock` for real measurements, or
 `counter_clock()` when byte-identical timing columns are needed across
@@ -32,8 +35,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import Dataset
-from .dropout import DropoutSpec, all_ones_mask, sample_mask
-from .network import NetworkParams, backward, forward, nll_loss
+from .dropout import DropoutSpec, all_ones_mask, sample_masks
+from .network import NetworkParams, backward, forward, nll_loss, probabilities
 from .optimizers import (
     RpropConfig,
     RpropState,
@@ -54,6 +57,11 @@ STREAM_RESAMPLE = 3
 MEMBER_STREAM_STRIDE = 16
 
 EVAL_BATCH = 1024
+# Draws per block of training masks (512 KiB of float64). One block
+# covers an epoch of the desk protocol (50 steps x 1184 nodes), and the
+# bound keeps batch-1 training on 60k examples from drawing a whole
+# epoch (570 MB) at once.
+MASK_CHUNK_DRAWS = 1 << 16
 
 
 class DivergenceError(RuntimeError):
@@ -115,13 +123,11 @@ def predict_probabilities(params: NetworkParams, images: np.ndarray,
                           batch_size: int = EVAL_BATCH) -> np.ndarray:
     """Class probabilities for every row of `images`, batched for memory."""
     images = np.asarray(images, dtype=np.float64)
-    if len(images) == 0:
-        return np.zeros((0, params.num_classes))
-    outs = [
-        forward(params, images[lo:lo + batch_size]).probabilities
-        for lo in range(0, len(images), batch_size)
-    ]
-    return np.concatenate(outs, axis=0)
+    out = np.empty((len(images), params.num_classes))
+    for lo in range(0, len(images), batch_size):
+        out[lo:lo + batch_size] = probabilities(params,
+                                                images[lo:lo + batch_size])
+    return out
 
 
 def predict_labels(params: NetworkParams, images: np.ndarray,
@@ -136,6 +142,14 @@ def classification_error(params: NetworkParams, data: Dataset,
         raise ValueError("cannot score an empty dataset")
     predicted = predict_labels(params, data.images, batch_size)
     return float(np.mean(predicted != data.labels))
+
+
+def _training_masks(dropout: DropoutSpec, specs, rng: RngStream, steps: int):
+    """The masks of `steps` successive training steps, drawn in blocks of
+    at most MASK_CHUNK_DRAWS draws (at least one mask per block)."""
+    per_block = max(1, MASK_CHUNK_DRAWS // sum(s.fan_in for s in specs))
+    for lo in range(0, steps, per_block):
+        yield from sample_masks(dropout, specs, rng, min(per_block, steps - lo))
 
 
 def _optimizer_transition(optimizer, opt_cfg, ones_mask):
@@ -196,6 +210,9 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
     step = _optimizer_transition(optimizer, opt_cfg, ones_mask)
 
     n = len(train)
+    masks = (_training_masks(dropout, params.specs, mask_rng,
+                             epoch_cap * -(-n // batch_size))
+             if drop_active else None)
     rows: list[EpochRow] = []
     best_epoch = 0
     best_err = np.inf
@@ -208,8 +225,7 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
             idx = order[lo:lo + batch_size]
             xb = train.images[idx]
             yb = train.labels[idx]
-            mask = (sample_mask(dropout, params.specs, mask_rng)
-                    if drop_active else None)
+            mask = next(masks) if drop_active else None
             cache = forward(params, xb, mask)
             batch_loss = nll_loss(cache.probabilities, yb)
             if not np.isfinite(batch_loss):

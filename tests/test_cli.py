@@ -5,7 +5,11 @@ import pytest
 
 from resprop.cli import main
 from resprop.harness import RunSummary, export_runs_csv
+from resprop.network import chain_specs, init_params
+from resprop.optimizers import RpropConfig, init_rprop_state
+from resprop.serialization import save_checkpoint
 from resprop.synthetic import write_corpus
+from resprop.tensor import RngStream
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +90,22 @@ class TestEvaluate:
         rc = main(["evaluate", "--model", "/nonexistent.ckpt",
                    "--data", str(corpus_dir)])
         assert rc == 2
+
+    def test_every_truncated_checkpoint_exits_2(self, corpus_dir, tmp_path,
+                                                capsys):
+        params = init_params(chain_specs((3, 4, 2)), RngStream(5, 0))
+        cfg = RpropConfig()
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(path, params, init_rprop_state(params, cfg), cfg)
+        data = path.read_bytes()
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            capsys.readouterr()
+            rc = main(["evaluate", "--model", str(path),
+                       "--data", str(corpus_dir)])
+            err = capsys.readouterr().err
+            assert rc == 2, n
+            assert err.startswith("error: ") and "checkpoint" in err, (n, err)
 
 
 class TestEnsemble:

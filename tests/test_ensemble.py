@@ -302,3 +302,16 @@ class TestSaveLoad:
         assert model.stacker is not None
         assert np.array_equal(model.predict(splits.test.images),
                               t.model.predict(splits.test.images))
+
+    @pytest.mark.parametrize("key", ["kind", "size", "member_sizes",
+                                     "member_epoch_cap", "aggregation",
+                                     "member_checkpoints"])
+    def test_missing_manifest_key_is_a_value_error(self, tmp_path, key):
+        t = train_ensemble(bagging_spec(size=1, epochs=1), toy_splits(),
+                           RpropConfig(), seed=3, batch_size=8)
+        path = save_ensemble(tmp_path, t, seed=3)
+        manifest = json.loads(path.read_text())
+        del manifest[key]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            load_ensemble(tmp_path)

@@ -141,3 +141,36 @@ class TestRobustness:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="activation code 42"):
             load_checkpoint(path)
+
+    def test_every_truncation_is_a_value_error(self, tmp_path, params):
+        path = tmp_path / "model.ckpt"
+        cfg = RpropConfig()
+        save_checkpoint(path, params, init_rprop_state(params, cfg), cfg)
+        data = path.read_bytes()
+        load_checkpoint(path)
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            with pytest.raises(ValueError, match="checkpoint"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset, what", [(8, "header"),
+                                              (20, "layer table"),
+                                              (30, "section count"),
+                                              (40, "section header")])
+    def test_truncation_names_the_part_and_byte_offset(self, tmp_path, params,
+                                                       offset, what):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        path.write_bytes(path.read_bytes()[:offset])
+        with pytest.raises(ValueError, match=f"{what} at byte "):
+            load_checkpoint(path)
+
+    def test_rprophp_section_of_wrong_length_rejected(self, tmp_path, params):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 28, 2)
+        path.write_bytes(bytes(data) + b"rprophp " + struct.pack("<Q", 8)
+                         + struct.pack("<d", 1.2))
+        with pytest.raises(ValueError, match="rprophp section holds 8 bytes"):
+            load_checkpoint(path)
