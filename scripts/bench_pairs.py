@@ -7,13 +7,24 @@ pair alternating too. Then it makes one full-scale `--trace 1` run per
 side per workload. It prints, per workload and end-to-end metric, each
 side's median and quartiles, the change of the median, the base's
 interquartile range, how many pairs the change won (ties count for
-neither side) and how many were equal; for the traced runs, both `harness.run_experiment`
-fractions and the optimizer kernels' call counts; and every run that
+neither side) and how many were equal; for the traced runs, both
+`harness.run_experiment` fractions and the call counts of the optimizer
+kernels and of `ensemble.bootstrap_resample`; and every run that
 exited nonzero, with its PROBLEM lines.
+
+Verdicts: a BOUND EXCEEDED line names each workload and end-to-end
+metric whose change median is worse than the base median by more than
+the metric's relative `bound` in BENCHMARK.json. `--claim
+METRIC@WORKLOAD` also prints whether that claim holds: the change won
+at least 9 of every 10 pairs (ties count for neither side) and its
+median beats the base median by more than the base IQR. The script
+exits 1 if a run exited nonzero, a bound was exceeded or the claim was
+not met.
 
     python3 scripts/bench_pairs.py --base HEAD --seeds 601-610
     python3 scripts/bench_pairs.py --base HEAD~1 --seeds 601-610 \\
-        --workloads desk-dropout --trace-seed 611 --out pairs.json
+        --workloads desk-dropout --trace-seed 611 --out pairs.json \\
+        --claim peak_rss_mib@desk-dropout
 
 Run it from anywhere inside the repository, on an otherwise idle
 machine: the runs are sequential and each takes `--seconds` plus its
@@ -35,7 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACE_KEYS = ("harness.run_experiment.optimizer_frac",
               "harness.run_experiment.network_frac",
               "optimizers.sgd_step.calls", "optimizers.rprop_step.calls",
-              "optimizers.dropout_rprop_step.calls")
+              "optimizers.dropout_rprop_step.calls",
+              "ensemble.bootstrap_resample.calls")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -87,27 +99,69 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def summarize(rows: list[tuple[float, float]], better: str) -> dict:
+    """Quartiles of each side over (base, change) pairs, and how many
+    pairs the change won (strictly better; ties count for neither side)
+    and tied."""
+    sign = -1 if better == "lower" else 1
+    return {"n": len(rows),
+            "wins": sum(sign * (c - b) > 0 for b, c in rows),
+            "equal": sum(c == b for b, c in rows),
+            "base": quartiles([b for b, _ in rows]),
+            "change": quartiles([c for _, c in rows])}
+
+
+def worse_by(summary: dict, better: str) -> float:
+    """How much worse the change median is than the base median, as a
+    fraction of the base median (negative when it is better)."""
+    bm, cm = summary["base"][1], summary["change"][1]
+    worse = cm - bm if better == "lower" else bm - cm
+    return worse / abs(bm) if bm else (0.0 if worse <= 0 else float("inf"))
+
+
+def bound_violations(summaries: dict, metrics: list[dict]) -> list[tuple]:
+    """Every (workload, metric, worse_by) whose change median is worse
+    than its base median by more than the metric's relative `bound`;
+    `summaries` maps (workload, metric) to `summarize` output and
+    `metrics` is BENCHMARK.json's `end_to_end` list."""
+    spec = {m["name"]: m for m in metrics}
+    out = []
+    for (workload, name), summary in summaries.items():
+        worse = worse_by(summary, spec[name]["better"])
+        if worse > spec[name]["bound"]:
+            out.append((workload, name, worse))
+    return out
+
+
+def claim_met(summary: dict, better: str) -> bool:
+    """The claim rule: the change won at least 9 of every 10 pairs, and
+    its median beats the base median by more than the base IQR."""
+    b1, bm, b3 = summary["base"]
+    cm = summary["change"][1]
+    gain = bm - cm if better == "lower" else cm - bm
+    return (summary["n"] > 0 and 10 * summary["wins"] >= 9 * summary["n"]
+            and gain > b3 - b1)
+
+
 def report_pairs(workload: str, pairs: list[tuple[dict, dict]],
-                 better: dict) -> list[str]:
+                 better: dict) -> tuple[list[str], dict]:
+    """Report lines for one workload and its per-metric summaries."""
     out = [f"== {workload}: {len(pairs)} pairs (median [q1, q3])"]
+    summaries = {}
     for name, direction in better.items():
         rows = [(b["metrics"][name], c["metrics"][name]) for b, c in pairs
                 if name in b["metrics"] and name in c["metrics"]]
         if not rows:
             continue
-        base = [b for b, _ in rows]
-        change = [c for _, c in rows]
-        sign = -1 if direction == "lower" else 1
-        wins = sum(sign * (c - b) > 0 for b, c in rows)
-        equal = sum(c == b for b, c in rows)
-        b1, bm, b3 = quartiles(base)
-        c1, cm, c3 = quartiles(change)
+        s = summaries[(workload, name)] = summarize(rows, direction)
+        b1, bm, b3 = s["base"]
+        c1, cm, c3 = s["change"]
         rel = f"{100 * (cm / bm - 1):+.1f}%" if bm else "n/a"
         out.append(f"{name}: base {bm:.6g} [{b1:.6g}, {b3:.6g}] -> change "
                    f"{cm:.6g} [{c1:.6g}, {c3:.6g}] ({rel}; base IQR "
-                   f"{b3 - b1:.4g}; change better in {wins}/{len(rows)}, "
-                   f"equal in {equal})")
-    return out
+                   f"{b3 - b1:.4g}; change better in {s['wins']}/{s['n']}, "
+                   f"equal in {s['equal']})")
+    return out, summaries
 
 
 def main(argv=None) -> int:
@@ -121,12 +175,21 @@ def main(argv=None) -> int:
     ap.add_argument("--trace-seed", type=int,
                     help="seed of the traced runs (default: last seed + 1)")
     ap.add_argument("--out", help="also write every run's result as JSON")
+    ap.add_argument("--claim", metavar="METRIC@WORKLOAD",
+                    help="also check the claim rule for this metric")
     args = ap.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     workloads = args.workloads.split(",")
     trace_seed = args.trace_seed if args.trace_seed is not None else seeds[-1] + 1
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    claim = None
+    if args.claim:
+        metric, _, workload = args.claim.rpartition("@")
+        claim = (workload, metric)
+        if metric not in better or workload not in workloads:
+            ap.error(f"--claim {args.claim}: expected METRIC@WORKLOAD with an "
+                     f"end-to-end metric and one of {workloads}")
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -149,12 +212,15 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
 
     lines = []
+    summaries = {}
     for workload in workloads:
         untraced = {side: [r for r in runs if r["workload"] == workload
                            and r["side"] == side and not r["trace"]]
                     for side in ("base", "change")}
-        lines += report_pairs(workload, list(zip(untraced["base"],
-                                                 untraced["change"])), better)
+        report, found = report_pairs(
+            workload, list(zip(untraced["base"], untraced["change"])), better)
+        lines += report
+        summaries.update(found)
         for r in runs:
             if r["workload"] == workload and r["trace"]:
                 fracs = ", ".join(f"{k} {r['metrics'].get(k, float('nan')):.4g}"
@@ -166,10 +232,25 @@ def main(argv=None) -> int:
         lines.append(f"NONZERO EXIT {r['exit']}: {r['side']} {r['workload']} "
                      f"seed {r['seed']} trace {r['trace']}")
         lines += [f"  PROBLEM {p}" for p in r["problems"]]
+    violations = bound_violations(summaries, spec["end_to_end"])
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    for workload, name, worse in violations:
+        lines.append(f"BOUND EXCEEDED: {name} on {workload} is "
+                     f"{100 * worse:.1f}% worse (bound {100 * bounds[name]:g}%)")
+    claim_ok = True
+    if claim:
+        cs = summaries.get(claim)
+        claim_ok = cs is not None and claim_met(cs, better[claim[1]])
+        detail = ("no pairs" if cs is None else
+                  f"won {cs['wins']}/{cs['n']}, median {cs['base'][1]:.6g} "
+                  f"-> {cs['change'][1]:.6g}, base IQR "
+                  f"{cs['base'][2] - cs['base'][0]:.4g}")
+        lines.append(f"CLAIM {args.claim}: "
+                     f"{'MET' if claim_ok else 'NOT MET'} ({detail})")
     print("\n".join(lines))
     if args.out:
         Path(args.out).write_text(json.dumps(runs, indent=1) + "\n")
-    return 1 if failed else 0
+    return 1 if failed or violations or not claim_ok else 0
 
 
 if __name__ == "__main__":

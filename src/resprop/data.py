@@ -114,10 +114,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.images)
 
-    def subset(self, indices, split_tag=None) -> "Dataset":
-        return Dataset(self.images[indices], self.labels[indices],
-                       split_tag or self.split_tag)
-
 
 class DataSplits(NamedTuple):
     train: Dataset
@@ -150,19 +146,22 @@ def load_splits(train_images_path, train_labels_path,
 
     Training and validation come from the training pair in file order
     (first train_size, next val_size); the test set is the leading
-    test_size examples of the test pair (all of it when None). Passing
+    test_size examples of the test pair (all of it when None). Each
+    size must be at least 1. Passing
     `shuffle_seed` permutes the training pair deterministically before
     the prefix split, for robustness studies; the default keeps file
     order so no extra seed enters the standard protocol.
     """
+    for name, size in (("train_size", train_size), ("val_size", val_size),
+                       ("test_size", 1 if test_size is None else test_size)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     timg = read_idx(train_images_path)
     tlab = read_idx(train_labels_path)
     if len(timg) != len(tlab):
         raise ValueError(
             f"training pair disagrees: {len(timg)} images vs {len(tlab)} labels"
         )
-    if train_size < 1 or val_size < 0:
-        raise ValueError(f"bad split sizes ({train_size}, {val_size})")
     if train_size + val_size > len(timg):
         raise ValueError(
             f"split ({train_size}, {val_size}) exceeds the {len(timg)} "

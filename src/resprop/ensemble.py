@@ -1,7 +1,10 @@
 """Bagging and stacking over independently trained network members.
 
 Bagging trains each member on a bootstrap resample of the training set
-and aggregates by majority vote or probability average. Stacking trains
+and aggregates by majority vote or probability average. A resample is
+an index vector into the shared training arrays (`train_model`'s
+`rows`), not a copy of the data, so a member costs no more memory than
+a single model however large the training set is. Stacking trains
 members on the training set itself, then fits a second network on the
 members' concatenated output probabilities. The stacker is fitted on
 member outputs over the validation set (fitting it on member training
@@ -99,13 +102,11 @@ class StackerSpec:
         return (n_members * n_classes,) + self.hidden_sizes + (n_classes,)
 
 
-def bootstrap_resample(data: Dataset, rng: RngStream) -> Dataset:
-    """Sample len(data) examples with replacement, preserving pairing."""
-    n = len(data)
-    if n == 0:
-        raise ValueError("cannot resample an empty dataset")
-    idx = rng.integers(n, size=n)
-    return data.subset(idx)
+def bootstrap_resample(n: int, rng: RngStream) -> np.ndarray:
+    """Indices of `n` examples drawn from range(n) with replacement."""
+    if n < 1:
+        raise ValueError(f"cannot resample an empty dataset (n = {n})")
+    return rng.integers(n, size=n)
 
 
 def _check_member_outputs(member_outputs) -> list[np.ndarray]:
@@ -204,7 +205,8 @@ def train_ensemble(spec: EnsembleSpec, splits: DataSplits, opt_cfg: RpropConfig,
     """Train all members (and the stacker, for stacking ensembles).
 
     Members train with mod-rprop under `opt_cfg`; bagging members each
-    see their own bootstrap resample, stacking members the training set
+    see their own bootstrap resample, given to `train_model` as row
+    indices into `splits.train`, stacking members the training set
     itself. Every member is model-selected on the validation set. The
     stacker fits member outputs on the validation set against the
     validation labels.
@@ -214,15 +216,15 @@ def train_ensemble(spec: EnsembleSpec, splits: DataSplits, opt_cfg: RpropConfig,
         base = member_stream_base(i)
         init_rng = RngStream(seed, base + STREAM_INIT)
         params = init_params(chain_specs(spec.member_sizes), init_rng, init_scale)
+        rows = None
         if spec.kind == "bagging":
             resample_rng = RngStream(seed, base + STREAM_RESAMPLE)
-            member_train = bootstrap_resample(splits.train, resample_rng)
-        else:
-            member_train = splits.train
+            rows = bootstrap_resample(len(splits.train), resample_rng)
         result = train_model(
-            params, member_train, splits.validation, "mod-rprop", opt_cfg,
+            params, splits.train, splits.validation, "mod-rprop", opt_cfg,
             epoch_cap=spec.member_epoch_cap, batch_size=batch_size,
             seed=seed, stream_base=base, dropout=member_dropout, clock=clock,
+            rows=rows,
         )
         member_results.append(result)
 

@@ -97,8 +97,44 @@ def format_size_chain(sizes) -> str:
     return "-".join(str(s) for s in sizes)
 
 
+class _RunSettings:
+    """What experiment and ensemble configs share: the settings check,
+    the clock and the data loading. Subclasses are frozen dataclasses
+    with the fields named here."""
+
+    def _check(self, counts: tuple[str, ...], rates: tuple[str, ...]) -> None:
+        """Every count >= 1, every rate in [0, 1), valid split sizes and
+        clock; called once from each config's __post_init__."""
+        for name in counts:
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in rates:
+            r = getattr(self, name)
+            if not 0.0 <= r < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {r}")
+        if self.train_size < 1 or self.val_size < 1:
+            raise ValueError(f"train_size and val_size must be >= 1, got "
+                             f"{self.train_size} and {self.val_size}")
+        if self.test_size is not None and self.test_size < 1:
+            raise ValueError(f"test_size must be >= 1 when given, "
+                             f"got {self.test_size}")
+        if self.clock not in CLOCK_NAMES:
+            raise ValueError(f"clock must be one of {CLOCK_NAMES}, "
+                             f"got {self.clock!r}")
+
+    def clock_fn(self):
+        return wall_clock if self.clock == "wall" else counter_clock()
+
+    def load_data(self) -> DataSplits:
+        if not self.data_dir:
+            raise ValueError("config has no data_dir; cannot load data")
+        return load_splits_from_dir(self.data_dir, self.train_size,
+                                    self.val_size, self.test_size)
+
+
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_RunSettings):
     sizes: tuple[int, ...] = (784, 300, 100, 10)
     activation: str = "rectifier"
     optimizer: str = "mod-rprop"
@@ -130,22 +166,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"optimizer must be one of {OPTIMIZER_NAMES}, got {self.optimizer!r}"
             )
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        if self.clock not in CLOCK_NAMES:
-            raise ValueError(f"clock must be one of {CLOCK_NAMES}, got {self.clock!r}")
-        for name in ("dropout_input", "dropout_hidden"):
-            r = getattr(self, name)
-            if not 0.0 <= r < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {r}")
-        if self.train_size < 1 or self.val_size < 1:
-            raise ValueError("train_size and val_size must be >= 1")
-        if self.test_size is not None and self.test_size < 1:
-            raise ValueError("test_size must be >= 1 when given")
+        self._check(("epochs", "batch_size"),
+                    ("dropout_input", "dropout_hidden"))
 
     def layer_specs(self):
         return chain_specs(self.sizes, self.activation)
@@ -160,15 +184,6 @@ class ExperimentConfig:
         spec = DropoutSpec.for_sizes(self.sizes, self.dropout_hidden,
                                      self.dropout_input)
         return None if spec.is_off else spec
-
-    def clock_fn(self):
-        return wall_clock if self.clock == "wall" else counter_clock()
-
-    def load_data(self) -> DataSplits:
-        if not self.data_dir:
-            raise ValueError("config has no data_dir; cannot load data")
-        return load_splits_from_dir(self.data_dir, self.train_size,
-                                    self.val_size, self.test_size)
 
 
 _CONFIG_KEYS = {
@@ -487,7 +502,7 @@ def compare_runs(summaries_a: Sequence[RunSummary],
 
 
 @dataclass(frozen=True)
-class EnsembleRunConfig:
+class EnsembleRunConfig(_RunSettings):
     """Flat-file configuration for one ensemble build (see parse keys)."""
 
     kind: str = "bagging"
@@ -528,9 +543,9 @@ class EnsembleRunConfig:
         if self.aggregation not in AGGREGATION_MODES:
             raise ValueError(f"aggregation must be one of {AGGREGATION_MODES}, "
                              f"got {self.aggregation!r}")
-        if self.clock not in CLOCK_NAMES:
-            raise ValueError(f"clock must be one of {CLOCK_NAMES}, "
-                             f"got {self.clock!r}")
+        self._check(("size", "member_epochs", "stacker_epochs", "batch_size"),
+                    ("dropout_input", "dropout_hidden",
+                     "stacker_dropout_hidden"))
 
     def ensemble_spec(self) -> EnsembleSpec:
         return EnsembleSpec(self.kind, self.size, self.member_sizes,
@@ -558,15 +573,6 @@ class EnsembleRunConfig:
         chain = self.stacker_spec().size_chain(
             self.size, self.member_sizes[-1])
         return DropoutSpec.for_sizes(chain, self.stacker_dropout_hidden, 0.0)
-
-    def clock_fn(self):
-        return wall_clock if self.clock == "wall" else counter_clock()
-
-    def load_data(self) -> DataSplits:
-        if not self.data_dir:
-            raise ValueError("config has no data_dir; cannot load data")
-        return load_splits_from_dir(self.data_dir, self.train_size,
-                                    self.val_size, self.test_size)
 
 
 def _parse_opt_sizes(s: str):

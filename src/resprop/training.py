@@ -1,6 +1,9 @@
 """Minibatch training loop: per-epoch validation, timing, model selection.
 
 One epoch is one pass over the shuffled training set in minibatches.
+Given `rows`, the training set is those rows of the dataset (repeats
+allowed, as in a bootstrap resample), gathered per minibatch from the
+shared arrays, so no resampled copy of the data is ever built.
 One optimizer invocation happens per minibatch; when dropout is active a
 fresh mask is sampled for every minibatch and applied in both the
 forward and backward passes. The mod-rprop optimizer additionally
@@ -152,6 +155,20 @@ def _training_masks(dropout: DropoutSpec, specs, rng: RngStream, steps: int):
         yield from sample_masks(dropout, specs, rng, min(per_block, steps - lo))
 
 
+def _check_rows(rows, n: int) -> np.ndarray:
+    """`rows` as an integer index vector into a dataset of `n` examples."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"rows must be a 1-D integer array, got "
+                         f"{rows.dtype} with shape {rows.shape}")
+    if len(rows) == 0:
+        raise ValueError("rows is empty")
+    if rows.min() < 0 or rows.max() >= n:
+        raise ValueError(f"rows must lie in [0, {n}), got values from "
+                         f"{rows.min()} to {rows.max()}")
+    return rows
+
+
 def _optimizer_transition(optimizer, opt_cfg, ones_mask):
     """Returns step(params, grads, state, mask) -> (params, state), which
     steps params and state in place."""
@@ -172,8 +189,15 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
                 batch_size: int = 128, seed: int, stream_base: int = 0,
                 dropout: Optional[DropoutSpec] = None,
                 state: Optional[RpropState] = None,
-                clock: Optional[Callable[[], float]] = None) -> TrainResult:
+                clock: Optional[Callable[[], float]] = None,
+                rows=None) -> TrainResult:
     """Train for `epoch_cap` epochs, keeping the best-validation model.
+
+    With `rows`, a 1-D integer array of indices into `train` (repeats
+    allowed), training runs on those examples in that order, exactly as
+    on `Dataset(train.images[rows], train.labels[rows])`: each epoch
+    shuffles positions in `rows` and each minibatch gathers its rows
+    from `train`, so the resampled set is never materialized.
 
     Best means lowest validation error; ties go to the earliest epoch.
     An existing `state` resumes rprop-family training; otherwise state
@@ -187,6 +211,8 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if len(train) == 0:
         raise ValueError("training set is empty")
+    if rows is not None:
+        rows = _check_rows(rows, len(train))
     if optimizer not in OPTIMIZER_NAMES:
         raise ValueError(
             f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_NAMES}"
@@ -209,17 +235,19 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
                  else state.copy())
     step = _optimizer_transition(optimizer, opt_cfg, ones_mask)
 
-    n = len(train)
+    n = len(train) if rows is None else len(rows)
     masks = (_training_masks(dropout, params.specs, mask_rng,
                              epoch_cap * -(-n // batch_size))
              if drop_active else None)
-    rows: list[EpochRow] = []
+    history: list[EpochRow] = []
     best_epoch = 0
     best_err = np.inf
     best_params = params.copy()
     t0 = clock()
     for epoch in range(1, epoch_cap + 1):
         order = shuffle_rng.permutation(n)
+        if rows is not None:
+            order = rows[order]
         loss_sum = 0.0
         for lo in range(0, n, batch_size):
             idx = order[lo:lo + batch_size]
@@ -238,10 +266,10 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
             raise DivergenceError(epoch, train_loss)
         val_err = classification_error(params, validation)
         elapsed_ms = (clock() - t0) * 1000.0
-        rows.append(EpochRow(epoch, float(train_loss), val_err, elapsed_ms))
+        history.append(EpochRow(epoch, float(train_loss), val_err, elapsed_ms))
         if val_err < best_err:
             best_err = val_err
             best_epoch = epoch
             best_params = params.copy()
-    return TrainResult(rows, best_epoch, float(best_err), best_params,
+    return TrainResult(history, best_epoch, float(best_err), best_params,
                        params, state, optimizer)

@@ -1,0 +1,117 @@
+"""Verdict rules of scripts/bench_pairs.py, on hand-made pair data."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "job_s", "better": "lower", "bound": 0.25},
+           {"name": "eval_examples_per_s", "better": "higher", "bound": 0.25},
+           {"name": "peak_rss_mib", "better": "lower", "bound": 0.1}]
+
+
+def pairs(base, change):
+    return list(zip(base, change, strict=True))
+
+
+class TestSummarize:
+    def test_wins_and_ties(self):
+        s = bench_pairs.summarize(pairs([1, 2, 3, 4], [0.5, 2, 3.5, 3]),
+                                  "lower")
+        assert (s["n"], s["wins"], s["equal"]) == (4, 2, 1)
+        s = bench_pairs.summarize(pairs([1, 2, 3, 4], [0.5, 2, 3.5, 3]),
+                                  "higher")
+        assert (s["wins"], s["equal"]) == (1, 1)
+
+    def test_quartiles_per_side(self):
+        s = bench_pairs.summarize(pairs([1, 2, 3, 4, 5], [5, 6, 7, 8, 9]),
+                                  "lower")
+        assert s["base"] == (2, 3, 4)
+        assert s["change"] == (6, 7, 8)
+
+
+class TestBoundViolations:
+    def summaries(self, **medians):
+        return {("desk-dropout", name): bench_pairs.summarize(
+                    pairs([b] * 3, [c] * 3),
+                    next(m["better"] for m in METRICS if m["name"] == name))
+                for name, (b, c) in medians.items()}
+
+    def test_flags_only_metrics_worse_than_their_bound(self):
+        found = bench_pairs.bound_violations(self.summaries(
+            job_s=(10.0, 12.6),               # 26% slower: over 0.25
+            eval_examples_per_s=(100.0, 76.0),  # 24% fewer: within 0.25
+            peak_rss_mib=(200.0, 150.0),      # better
+        ), METRICS)
+        assert [(w, n) for w, n, _ in found] == [("desk-dropout", "job_s")]
+        assert found[0][2] == pytest.approx(0.26)
+
+    def test_direction_of_higher_is_better(self):
+        found = bench_pairs.bound_violations(
+            self.summaries(eval_examples_per_s=(100.0, 70.0)), METRICS)
+        assert [n for _, n, _ in found] == ["eval_examples_per_s"]
+        assert found[0][2] == pytest.approx(0.30)
+
+    def test_exactly_at_the_bound_passes(self):
+        assert bench_pairs.bound_violations(
+            self.summaries(peak_rss_mib=(200.0, 220.0)), METRICS) == []
+
+    def test_zero_base_median(self):
+        assert bench_pairs.bound_violations(
+            self.summaries(job_s=(0.0, 0.0)), METRICS) == []
+        found = bench_pairs.bound_violations(
+            self.summaries(job_s=(0.0, 0.1)), METRICS)
+        assert [n for _, n, _ in found] == ["job_s"]
+
+    def test_reads_the_committed_benchmark_bounds(self):
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        names = {m["name"] for m in spec["end_to_end"]}
+        assert {m["name"] for m in METRICS} <= names
+        summaries = {("fullbatch-nodrop", "peak_rss_mib"):
+                     bench_pairs.summarize(pairs([250.0] * 2, [280.0] * 2),
+                                           "lower")}
+        assert bench_pairs.bound_violations(summaries, spec["end_to_end"])
+
+
+class TestClaimMet:
+    BASE = [194.0, 193.9, 194.2, 194.0, 194.1, 193.8, 194.0, 194.3, 194.0, 193.9]
+
+    def test_nine_of_ten_and_gap_above_iqr(self):
+        change = [155.0] * 9 + [195.0]
+        s = bench_pairs.summarize(pairs(self.BASE, change), "lower")
+        assert s["wins"] == 9
+        assert bench_pairs.claim_met(s, "lower")
+
+    def test_eight_of_ten_fails(self):
+        change = [155.0] * 8 + [195.0, 195.0]
+        s = bench_pairs.summarize(pairs(self.BASE, change), "lower")
+        assert not bench_pairs.claim_met(s, "lower")
+
+    def test_ties_do_not_count_as_wins(self):
+        change = [155.0] * 8 + self.BASE[8:]
+        s = bench_pairs.summarize(pairs(self.BASE, change), "lower")
+        assert (s["wins"], s["equal"]) == (8, 2)
+        assert not bench_pairs.claim_met(s, "lower")
+
+    def test_gap_within_base_iqr_fails(self):
+        base = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+        change = [b - 0.5 for b in base]   # wins 10/10, gap 0.5, IQR 4.5
+        s = bench_pairs.summarize(pairs(base, change), "lower")
+        assert s["wins"] == 10
+        assert not bench_pairs.claim_met(s, "lower")
+
+    def test_higher_is_better(self):
+        base = [100.0, 101.0, 99.0, 100.0]
+        s = bench_pairs.summarize(pairs(base, [b + 10 for b in base]),
+                                  "higher")
+        assert bench_pairs.claim_met(s, "higher")
+        s = bench_pairs.summarize(pairs(base, [b - 10 for b in base]),
+                                  "higher")
+        assert not bench_pairs.claim_met(s, "higher")

@@ -66,6 +66,22 @@ class TestTrain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,message", [
+        ("val_size = 0", "train_size and val_size must be >= 1, got 200 and 0"),
+        ("test_size = 0", "test_size must be >= 1 when given, got 0"),
+    ])
+    def test_empty_split_exits_2_before_any_output(self, config_path, tmp_path,
+                                                   capsys, line, message):
+        key = line.split(" = ")[0]
+        text = "".join(ln + "\n" for ln in config_path.read_text().splitlines()
+                       if not ln.startswith(key + " "))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + line + "\n")
+        out = tmp_path / "exp"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("learning_rat = 0.1\n")
@@ -140,6 +156,34 @@ class TestEnsemble:
         spec.write_text("kind = boosting\n")
         assert main(["ensemble", "--spec", str(spec)]) == 2
         assert "kind must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("val_size = 0", "train_size and val_size must be >= 1, got 200 and 0"),
+        ("train_size = 0", "train_size and val_size must be >= 1, got 0 and 60"),
+        ("test_size = 0", "test_size must be >= 1 when given, got 0"),
+        ("batch_size = 0", "batch_size must be >= 1, got 0"),
+        ("size = 0", "size must be >= 1, got 0"),
+        ("member_epochs = 0", "member_epochs must be >= 1, got 0"),
+        ("stacker_epochs = 0", "stacker_epochs must be >= 1, got 0"),
+        ("dropout_input = 1", "dropout_input must lie in [0, 1), got 1.0"),
+        ("dropout_hidden = -0.1", "dropout_hidden must lie in [0, 1), got -0.1"),
+        ("stacker_dropout_hidden = 1.5",
+         "stacker_dropout_hidden must lie in [0, 1), got 1.5"),
+    ])
+    def test_bad_setting_exits_2_before_any_output(self, corpus_dir, tmp_path,
+                                                   capsys, line, message):
+        settings = {"kind": "bagging", "size": "2", "arch": "784-16-10",
+                    "member_epochs": "1", "batch_size": "32",
+                    "data_dir": str(corpus_dir), "train_size": "200",
+                    "val_size": "60", "test_size": "60"}
+        key, _, value = line.partition(" = ")
+        settings[key] = value
+        spec = tmp_path / "bad.cfg"
+        spec.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        out = tmp_path / "ens"
+        assert main(["ensemble", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def write_runs_dir(path, errs):

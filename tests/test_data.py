@@ -116,13 +116,6 @@ class TestDataset:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Dataset(np.full((2, 4), 1.5), np.zeros(2, dtype=np.int64))
 
-    def test_subset(self):
-        ds = Dataset(np.eye(4), np.arange(4), "train")
-        sub = ds.subset([2, 0], split_tag="validation")
-        assert sub.labels.tolist() == [2, 0]
-        assert sub.split_tag == "validation"
-        assert (sub.images[0] == ds.images[2]).all()
-
 
 def write_pair_dir(tmp_path, n_train=6, n_test=4):
     d = tmp_path / "data"
@@ -166,6 +159,17 @@ class TestLoadSplits:
         d = write_pair_dir(tmp_path)
         with pytest.raises(ValueError, match="exceeds the 6 available"):
             load_splits_from_dir(d, 5, 2)
+
+    @pytest.mark.parametrize("sizes,message", [
+        ((0, 2, None), "train_size must be >= 1, got 0"),
+        ((3, 0, None), "val_size must be >= 1, got 0"),
+        ((3, -1, None), "val_size must be >= 1, got -1"),
+        ((3, 2, 0), "test_size must be >= 1, got 0"),
+    ])
+    def test_empty_split_rejected_by_name(self, tmp_path, sizes, message):
+        d = write_pair_dir(tmp_path)
+        with pytest.raises(ValueError, match=message):
+            load_splits_from_dir(d, *sizes)
 
     def test_pair_disagreement_rejected(self, tmp_path):
         d = write_pair_dir(tmp_path)

@@ -1,6 +1,7 @@
 """Ensemble tests: resampling, aggregation, training, and persistence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resprop.data import Dataset, DataSplits
+from resprop.dropout import DropoutSpec
 from resprop.ensemble import (
     MANIFEST_NAME,
     EnsembleModel,
@@ -21,9 +23,17 @@ from resprop.ensemble import (
     stack_features,
     train_ensemble,
 )
+from resprop.network import chain_specs, init_params
 from resprop.optimizers import RpropConfig
 from resprop.tensor import RngStream
-from resprop.training import MEMBER_STREAM_STRIDE, predict_probabilities
+from resprop.training import (
+    MEMBER_STREAM_STRIDE,
+    STREAM_INIT,
+    STREAM_RESAMPLE,
+    counter_clock,
+    predict_probabilities,
+    train_model,
+)
 
 
 def tagged_dataset(n, seed=0):
@@ -90,46 +100,46 @@ class TestStackerSpec:
 
 
 class TestBootstrapResample:
+    """`bootstrap_resample(n, rng)` returns row indices; training gathers
+    the resample from the shared arrays (see TestBaggingByIndex)."""
+
     def test_size_preserved(self):
-        data = tagged_dataset(40)
-        out = bootstrap_resample(data, RngStream(1, 0))
-        assert len(out) == 40
+        idx = bootstrap_resample(40, RngStream(1, 0))
+        assert idx.shape == (40,) and idx.dtype == np.int64
 
     def test_pairing_preserved(self):
         data = tagged_dataset(60)
-        out = bootstrap_resample(data, RngStream(5, 0))
-        assert np.array_equal(np.round(out.images[:, 1] * 10).astype(int),
-                              out.labels)
+        idx = bootstrap_resample(len(data), RngStream(5, 0))
+        images, labels = data.images[idx], data.labels[idx]
+        assert np.array_equal(np.round(images[:, 1] * 10).astype(int), labels)
 
     def test_rows_come_from_source(self):
-        data = tagged_dataset(30)
-        out = bootstrap_resample(data, RngStream(2, 0))
-        src_ids = set(np.round(data.images[:, 0] * 30).astype(int))
-        assert set(np.round(out.images[:, 0] * 30).astype(int)) <= src_ids
+        idx = bootstrap_resample(30, RngStream(2, 0))
+        assert idx.min() >= 0 and idx.max() < 30
 
     def test_deterministic_per_stream(self):
-        data = tagged_dataset(40)
-        a = bootstrap_resample(data, RngStream(7, 3))
-        b = bootstrap_resample(data, RngStream(7, 3))
-        assert np.array_equal(a.images, b.images)
-        c = bootstrap_resample(data, RngStream(7, 4))
-        assert not np.array_equal(a.images, c.images)
+        a = bootstrap_resample(40, RngStream(7, 3))
+        b = bootstrap_resample(40, RngStream(7, 3))
+        assert np.array_equal(a, b)
+        c = bootstrap_resample(40, RngStream(7, 4))
+        assert not np.array_equal(a, c)
+
+    def test_same_draws_as_integers(self):
+        rng = RngStream(7, 3)
+        idx = bootstrap_resample(40, rng)
+        assert np.array_equal(idx, RngStream(7, 3).integers(40, size=40))
+        assert rng.position == 40
 
     def test_unique_fraction_near_one_minus_inv_e(self):
         # E[unique/n] = 1 - (1 - 1/n)^n -> 0.632; mean over seeds tightens it
         n = 500
-        data = tagged_dataset(n)
-        fracs = []
-        for seed in range(8):
-            out = bootstrap_resample(data, RngStream(seed, 0))
-            ids = np.round(out.images[:, 0] * n).astype(int)
-            fracs.append(len(np.unique(ids)) / n)
+        fracs = [len(np.unique(bootstrap_resample(n, RngStream(seed, 0)))) / n
+                 for seed in range(8)]
         assert abs(np.mean(fracs) - 0.632) < 0.03
 
     def test_empty_rejected(self):
-        data = Dataset(np.zeros((0, 16)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match="empty"):
-            bootstrap_resample(data, RngStream(1, 0))
+            bootstrap_resample(0, RngStream(1, 0))
 
 
 class TestAggregate:
@@ -267,6 +277,72 @@ class TestTrainEnsemble:
         bases = [member_stream_base(i) for i in range(4)]
         assert bases == [MEMBER_STREAM_STRIDE * k for k in (1, 2, 3, 4)]
         assert len(set(bases)) == 4
+
+
+def copy_based_members(spec, splits, cfg, *, seed, batch_size, dropout):
+    """Bagging members trained the way the index-based path must match:
+    each on its own copied bootstrap resample."""
+    results = []
+    n = len(splits.train)
+    for i in range(spec.size):
+        base = member_stream_base(i)
+        params = init_params(chain_specs(spec.member_sizes),
+                             RngStream(seed, base + STREAM_INIT))
+        idx = RngStream(seed, base + STREAM_RESAMPLE).integers(n, size=n)
+        copied = Dataset(splits.train.images[idx], splits.train.labels[idx])
+        results.append(train_model(
+            params, copied, splits.validation, "mod-rprop", cfg,
+            epoch_cap=spec.member_epoch_cap, batch_size=batch_size,
+            seed=seed, stream_base=base, dropout=dropout,
+            clock=counter_clock()))
+    return results
+
+
+def result_arrays(res):
+    state = res.final_state
+    return [a.tobytes() for a in (
+        res.best_params.weights + res.best_params.biases
+        + res.final_params.weights + res.final_params.biases
+        + state.delta_w + state.delta_b + state.prev_w + state.prev_b)]
+
+
+class TestBaggingByIndex:
+    @pytest.mark.parametrize("seed,batch_size,dropout", [
+        (11, 10, None),
+        (12, 7, DropoutSpec((0.0, 0.5))),
+        (13, 48, DropoutSpec((0.2, 0.5))),
+    ])
+    def test_members_bit_equal_to_copied_resamples(self, seed, batch_size,
+                                                   dropout):
+        splits = toy_splits(n_train=50)
+        spec = bagging_spec(size=3, epochs=3)
+        cfg = RpropConfig(delta_init=0.01)
+        got = train_ensemble(spec, splits, cfg, seed=seed,
+                             batch_size=batch_size, member_dropout=dropout,
+                             clock=counter_clock())
+        ref = copy_based_members(spec, splits, cfg, seed=seed,
+                                 batch_size=batch_size, dropout=dropout)
+        for g, r in zip(got.member_results, ref, strict=True):
+            assert result_arrays(g) == result_arrays(r)
+            assert g.rows == r.rows and g.best_epoch == r.best_epoch
+
+    def test_peak_memory_is_far_below_a_resampled_copy(self):
+        # A copied resample of this training set is 12.5 MB; the network
+        # (784-20-10) and a minibatch are tiny next to it.
+        rng = np.random.default_rng(0)
+        train = Dataset(rng.uniform(size=(2000, 784)),
+                        rng.integers(10, size=2000))
+        val = Dataset(train.images[:100].copy(), train.labels[:100].copy())
+        spec = EnsembleSpec("bagging", 3, (784, 20, 10), 1)
+        tracemalloc.start()
+        try:
+            train_ensemble(spec, DataSplits(train, val, val), RpropConfig(),
+                           seed=1, batch_size=100,
+                           member_dropout=DropoutSpec((0.0, 0.5)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < train.images.nbytes / 2, (peak, train.images.nbytes)
 
 
 class TestSaveLoad:

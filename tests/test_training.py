@@ -210,6 +210,81 @@ class TestValidationOfArguments:
                         epoch_cap=1, seed=1)
 
 
+def result_bytes(res):
+    """Every array and row of a TrainResult, as bytes, for exact equality."""
+    arrays = (res.best_params.weights + res.best_params.biases
+              + res.final_params.weights + res.final_params.biases)
+    if res.final_state is not None:
+        s = res.final_state
+        arrays += s.delta_w + s.delta_b + s.prev_w + s.prev_b
+    return ([a.tobytes() for a in arrays], res.rows, res.best_epoch,
+            res.best_val_err)
+
+
+class TestTrainOnRows:
+    """`rows=idx` must train exactly as the copied Dataset(images[idx],
+    labels[idx]) does: the copy-based path is the reference."""
+
+    @pytest.mark.parametrize("optimizer,cfg,dropout", [
+        ("sgd", SgdConfig(0.1), None),
+        ("rprop", RpropConfig(delta_init=0.01), DropoutSpec((0.0, 0.5))),
+        ("mod-rprop", RpropConfig(delta_init=0.01), DropoutSpec((0.2, 0.5))),
+    ])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_equal_to_copied_rows(self, toy_splits, optimizer, cfg,
+                                      dropout, seed):
+        train, val = toy_splits
+        # 297 rows: not a multiple of the batch size, with repeats
+        idx = RngStream(seed, 9).integers(len(train), size=297)
+        assert len(np.unique(idx)) < len(idx)
+        copied = Dataset(train.images[idx], train.labels[idx])
+        params = init_params(chain_specs(SIZES), RngStream(seed, 0))
+        kw = dict(epoch_cap=3, batch_size=32, seed=seed, dropout=dropout)
+        ref = train_model(params, copied, val, optimizer, cfg,
+                          clock=counter_clock(), **kw)
+        got = train_model(params, train, val, optimizer, cfg,
+                          clock=counter_clock(), rows=idx, **kw)
+        assert result_bytes(got) == result_bytes(ref)
+
+    def test_identity_rows_equal_no_rows(self, toy_splits):
+        train, val = toy_splits
+        params = init_params(chain_specs(SIZES), RngStream(4, 0))
+        kw = dict(epoch_cap=2, batch_size=50, seed=4)
+        ref = train_model(params, train, val, "rprop", RpropConfig(),
+                          clock=counter_clock(), **kw)
+        got = train_model(params, train, val, "rprop", RpropConfig(),
+                          clock=counter_clock(), rows=np.arange(len(train)),
+                          **kw)
+        assert result_bytes(got) == result_bytes(ref)
+
+    def test_single_repeated_row(self, toy_splits):
+        train, val = toy_splits
+        idx = np.full(5, 17)
+        copied = Dataset(train.images[idx], train.labels[idx])
+        params = init_params(chain_specs(SIZES), RngStream(5, 0))
+        kw = dict(epoch_cap=2, batch_size=2, seed=5)
+        ref = train_model(params, copied, val, "mod-rprop", RpropConfig(),
+                          clock=counter_clock(), **kw)
+        got = train_model(params, train, val, "mod-rprop", RpropConfig(),
+                          clock=counter_clock(), rows=idx, **kw)
+        assert result_bytes(got) == result_bytes(ref)
+
+    @pytest.mark.parametrize("rows,match", [
+        (np.zeros((2, 2), dtype=np.int64), "1-D integer"),
+        (np.array([0.0, 1.0]), "1-D integer"),
+        (np.array([True, False]), "1-D integer"),
+        (np.zeros(0, dtype=np.int64), "rows is empty"),
+        (np.array([0, -1]), r"lie in \[0, 300\)"),
+        (np.array([0, 300]), r"lie in \[0, 300\)"),
+    ])
+    def test_malformed_rows_rejected(self, toy_splits, rows, match):
+        train, val = toy_splits
+        params = init_params(chain_specs(SIZES), RngStream(1, 0))
+        with pytest.raises(ValueError, match=match):
+            train_model(params, train, val, "sgd", SgdConfig(0.1),
+                        epoch_cap=1, seed=1, rows=rows)
+
+
 class TestDropoutIntegration:
     def test_mod_rprop_without_dropout_runs(self, toy_splits):
         res = fit(toy_splits, "mod-rprop", RpropConfig(delta_init=0.01),
