@@ -30,7 +30,7 @@ from .gradcheck import gradient_check
 from .network import chain_specs, init_params, nll_loss
 from .serialization import load_checkpoint
 from .tensor import RngStream
-from .training import classification_error, predict_probabilities
+from .training import DivergenceError, predict_probabilities
 
 
 def _cmd_train(args) -> int:
@@ -52,8 +52,9 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     params, _, _ = load_checkpoint(args.model)
     test = load_test_set(args.data, args.test_size)
-    err = classification_error(params, test)
-    loss = nll_loss(predict_probabilities(params, test.images), test.labels)
+    probs = predict_probabilities(params, test)
+    err = float((probs.argmax(axis=1) != test.labels).mean())
+    loss = nll_loss(probs, test.labels)
     print("test err %.4f (%.2f%%) on %d examples, mean loss %.6f"
           % (err, 100.0 * err, len(test), loss))
     return 0
@@ -165,9 +166,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, TypeError) as exc:
+    except (ValueError, FileNotFoundError, TypeError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, DivergenceError) else 2
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ followed by the raw payload. Image files carry magic 0x00000803
 (2049, one dim). Gzip-compressed files are detected by their two-byte
 signature and decompressed transparently.
 
-Loaded pixels are scaled by 1/255 into [0, 1]. Splits are taken in file
-order: the first `train_size` examples train, the next `val_size`
-validate, and the test set comes from the separate test pair.
+Loaded pixels stay uint8 until `Dataset.batch` scales them by 1/255. Splits
+are taken in file order: the first `train_size` examples train, the next
+`val_size` validate, and the test set comes from the separate test pair.
 """
 
 from __future__ import annotations
@@ -93,26 +93,44 @@ def read_idx(path) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Flattened images in [0, 1] with integer labels."""
+    """Flattened images with integer labels.
 
-    images: np.ndarray  # (n, 784) float64
+    `pixels` holds uint8 intensities as read from IDX files, or float64
+    in [0, 1] (the stacker's features). `batch` alone converts uint8 to
+    float64, so MNIST's 60,000 training images take 47 MB, not 376 MB.
+    """
+
+    pixels: np.ndarray  # (n, d) uint8, or float64 in [0, 1]
     labels: np.ndarray  # (n,) int64
     split_tag: str = "train"
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
+        self.pixels = np.asarray(self.pixels)
+        if self.pixels.dtype != np.uint8:
+            self.pixels = self.pixels.astype(np.float64, copy=False)
+            if self.pixels.size and (self.pixels.min() < 0 or self.pixels.max() > 1):
+                raise ValueError("image entries must lie in [0, 1]")
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.images.ndim != 2:
-            raise ValueError(f"images must be 2-D, got shape {self.images.shape}")
-        if len(self.images) != len(self.labels):
+        if self.pixels.ndim != 2:
+            raise ValueError(f"images must be 2-D, got shape {self.pixels.shape}")
+        if len(self.pixels) != len(self.labels):
             raise ValueError(
-                f"{len(self.images)} images but {len(self.labels)} labels"
+                f"{len(self.pixels)} images but {len(self.labels)} labels"
             )
-        if len(self.images) and (self.images.min() < 0 or self.images.max() > 1):
-            raise ValueError("image entries must lie in [0, 1]")
 
     def __len__(self) -> int:
-        return len(self.images)
+        return len(self.pixels)
+
+    def batch(self, idx, out=None) -> np.ndarray:
+        """Rows `idx` (an index array or a slice) as float64 in [0, 1],
+        written into `out` if given; float64 rows divide by 1.0, exactly."""
+        rows = self.pixels[idx]
+        return np.divide(rows, 255.0 if rows.dtype == np.uint8 else 1.0, out=out)
+
+    @property
+    def images(self) -> np.ndarray:
+        """Every row as float64; a uint8 split is converted on each call."""
+        return self.batch(slice(None))
 
 
 class DataSplits(NamedTuple):
@@ -132,9 +150,8 @@ def _images_to_dataset(images: np.ndarray, labels: np.ndarray,
         raise ValueError(
             f"labels must be digit classes in [0, 10), got max {labels.max()}"
         )
-    flat = images.reshape(n, -1).astype(np.float64)
-    flat /= 255.0
-    return Dataset(flat, labels.astype(np.int64), tag)
+    # a copy, so a prefix does not pin the whole file's payload
+    return Dataset(images.reshape(n, -1).copy(), labels.astype(np.int64), tag)
 
 
 def load_splits(train_images_path, train_labels_path,

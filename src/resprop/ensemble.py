@@ -168,10 +168,10 @@ class EnsembleModel:
         if self.spec.kind == "stacking" and self.stacker is None:
             raise ValueError("stacking ensemble needs a stacker network")
 
-    def member_probabilities(self, images: np.ndarray) -> list[np.ndarray]:
+    def member_probabilities(self, images) -> list[np.ndarray]:
         return [predict_probabilities(m, images) for m in self.members]
 
-    def predict(self, images: np.ndarray) -> np.ndarray:
+    def predict(self, images) -> np.ndarray:
         probs = self.member_probabilities(images)
         if self.spec.kind == "bagging":
             return aggregate(probs, self.spec.aggregation)
@@ -179,7 +179,7 @@ class EnsembleModel:
         return np.argmax(probabilities(self.stacker, features), axis=1)
 
     def classification_error(self, data: Dataset) -> float:
-        return float(np.mean(self.predict(data.images) != data.labels))
+        return float(np.mean(self.predict(data) != data.labels))
 
 
 @dataclass
@@ -238,8 +238,7 @@ def train_ensemble(spec: EnsembleSpec, splits: DataSplits, opt_cfg: RpropConfig,
         chain = stacker_spec.size_chain(spec.size, spec.num_classes)
         init_rng = RngStream(seed, base + STREAM_INIT)
         stacker_params = init_params(chain_specs(chain), init_rng, init_scale)
-        probs = [predict_probabilities(m, splits.validation.images)
-                 for m in members]
+        probs = [predict_probabilities(m, splits.validation) for m in members]
         stack_data = Dataset(stack_features(probs), splits.validation.labels)
         stacker_result = train_model(
             stacker_params, stack_data, stack_data, "mod-rprop", opt_cfg,

@@ -132,6 +132,15 @@ class _RunSettings:
         return load_splits_from_dir(self.data_dir, self.train_size,
                                     self.val_size, self.test_size)
 
+    def splits_for(self, splits: Optional[DataSplits], width: int) -> DataSplits:
+        """`splits` (or the configured data) checked against the input width."""
+        splits = self.load_data() if splits is None else splits
+        have = splits.train.pixels.shape[1]
+        if have != width:
+            raise ValueError(f"arch input width {width} does not match the "
+                             f"data's {have} values per example")
+        return splits
+
 
 @dataclass(frozen=True)
 class ExperimentConfig(_RunSettings):
@@ -407,8 +416,8 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig, splits: Optional[DataSplits] = None,
                    save: bool = True, label: str = "model") -> ExperimentResult:
     """Run every seed in the config; optionally write the artifact set."""
-    if splits is None:
-        splits = cfg.load_data()
+    splits = cfg.splits_for(splits, cfg.sizes[0])
+    opt_cfg = cfg.optimizer_config()  # checks the optimizer settings
     out = Path(cfg.out_dir)
     if save:
         out.mkdir(parents=True, exist_ok=True)
@@ -420,7 +429,6 @@ def run_experiment(cfg: ExperimentConfig, splits: Optional[DataSplits] = None,
         if save:
             (out / f"metrics-seed{seed}.csv").write_text(export_metrics(record))
             save_checkpoint(out / f"model-seed{seed}.ckpt", result.best_params)
-            opt_cfg = cfg.optimizer_config()
             save_checkpoint(out / f"final-seed{seed}.ckpt", result.final_params,
                             state=result.final_state,
                             cfg=opt_cfg if isinstance(opt_cfg, RpropConfig) else None)
@@ -654,8 +662,7 @@ class EnsembleRunOutput:
 def run_ensemble(cfg: EnsembleRunConfig, splits: Optional[DataSplits] = None,
                  save: bool = True) -> EnsembleRunOutput:
     """Train an ensemble per config, score it, optionally save artifacts."""
-    if splits is None:
-        splits = cfg.load_data()
+    splits = cfg.splits_for(splits, cfg.member_sizes[0])
     training = train_ensemble(
         cfg.ensemble_spec(), splits, cfg.optimizer_config(), seed=cfg.seed,
         batch_size=cfg.batch_size, member_dropout=cfg.member_dropout(),

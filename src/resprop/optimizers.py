@@ -75,7 +75,7 @@ class SgdConfig:
     learning_rate: float = 0.01
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 

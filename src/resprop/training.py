@@ -122,18 +122,19 @@ class TrainResult:
         return self.rows[0].val_err
 
 
-def predict_probabilities(params: NetworkParams, images: np.ndarray,
+def predict_probabilities(params: NetworkParams, images,
                           batch_size: int = EVAL_BATCH) -> np.ndarray:
-    """Class probabilities for every row of `images`, batched for memory."""
-    images = np.asarray(images, dtype=np.float64)
+    """Class probabilities for every row of an array or a Dataset, by slices."""
+    rows = (images.batch if isinstance(images, Dataset)
+            else np.asarray(images, dtype=np.float64).__getitem__)
     out = np.empty((len(images), params.num_classes))
     for lo in range(0, len(images), batch_size):
-        out[lo:lo + batch_size] = probabilities(params,
-                                                images[lo:lo + batch_size])
+        out[lo:lo + batch_size] = probabilities(
+            params, rows(slice(lo, lo + batch_size)))
     return out
 
 
-def predict_labels(params: NetworkParams, images: np.ndarray,
+def predict_labels(params: NetworkParams, images,
                    batch_size: int = EVAL_BATCH) -> np.ndarray:
     return np.argmax(predict_probabilities(params, images, batch_size), axis=1)
 
@@ -143,7 +144,7 @@ def classification_error(params: NetworkParams, data: Dataset,
     """Fraction of examples whose argmax prediction misses the label."""
     if len(data) == 0:
         raise ValueError("cannot score an empty dataset")
-    predicted = predict_labels(params, data.images, batch_size)
+    predicted = predict_labels(params, data, batch_size)
     return float(np.mean(predicted != data.labels))
 
 
@@ -193,11 +194,12 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
                 rows=None) -> TrainResult:
     """Train for `epoch_cap` epochs, keeping the best-validation model.
 
-    With `rows`, a 1-D integer array of indices into `train` (repeats
-    allowed), training runs on those examples in that order, exactly as
-    on `Dataset(train.images[rows], train.labels[rows])`: each epoch
-    shuffles positions in `rows` and each minibatch gathers its rows
-    from `train`, so the resampled set is never materialized.
+    Minibatches are gathered by `train.batch` into one buffer per run,
+    and each step frees its other buffers before the next. With `rows`
+    (1-D integer indices into `train`, repeats allowed), training runs
+    on those rows in that order, exactly as on a `Dataset` of them: each
+    epoch shuffles positions in `rows` and each minibatch gathers from
+    `train`, so the resampled set is never materialized.
 
     Best means lowest validation error; ties go to the earliest epoch.
     An existing `state` resumes rprop-family training; otherwise state
@@ -243,6 +245,8 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
     best_epoch = 0
     best_err = np.inf
     best_params = params.copy()
+    # one gather buffer per run: a fresh one per step costs page faults
+    buf = np.empty((min(batch_size, n), train.pixels.shape[1]))
     t0 = clock()
     for epoch in range(1, epoch_cap + 1):
         order = shuffle_rng.permutation(n)
@@ -251,7 +255,7 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
         loss_sum = 0.0
         for lo in range(0, n, batch_size):
             idx = order[lo:lo + batch_size]
-            xb = train.images[idx]
+            xb = train.batch(idx, out=buf[:len(idx)])
             yb = train.labels[idx]
             mask = next(masks) if drop_active else None
             cache = forward(params, xb, mask)
@@ -261,6 +265,8 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
             loss_sum += batch_loss * len(idx)
             grads = backward(params, cache, yb, mask)
             params, state = step(params, grads, state, mask)
+            # free this step's buffers before the next step makes its own
+            del xb, yb, mask, cache, grads
         train_loss = loss_sum / n
         if not np.isfinite(train_loss):
             raise DivergenceError(epoch, train_loss)

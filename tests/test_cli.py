@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from resprop.cli import main
+from resprop.data import load_test_set
 from resprop.harness import RunSummary, export_runs_csv
-from resprop.network import chain_specs, init_params
+from resprop.network import chain_specs, init_params, nll_loss
 from resprop.optimizers import RpropConfig, init_rprop_state
-from resprop.serialization import save_checkpoint
+from resprop.serialization import load_checkpoint, save_checkpoint
 from resprop.synthetic import write_corpus
 from resprop.tensor import RngStream
+from resprop.training import classification_error, predict_probabilities
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,9 @@ class TestTrain:
     @pytest.mark.parametrize("line,message", [
         ("val_size = 0", "train_size and val_size must be >= 1, got 200 and 0"),
         ("test_size = 0", "test_size must be >= 1 when given, got 0"),
+        ("learning_rate = nan", "learning_rate must be > 0, got nan"),
+        ("arch = 10-10", "arch input width 10 does not match the data's 784 "
+                         "values per example"),
     ])
     def test_empty_split_exits_2_before_any_output(self, config_path, tmp_path,
                                                    capsys, line, message):
@@ -81,6 +86,19 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_divergence_exits_1_with_one_line(self, config_path, tmp_path,
+                                              capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(config_path.read_text().replace(
+            "learning_rate = 0.1", "learning_rate = 1e200"))
+        # a rate this size overflows the logits on the next forward pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--config", str(cfg),
+                       "--out", str(tmp_path / "exp")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: training diverged at epoch 1: loss nan\n")
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -101,6 +119,14 @@ class TestEvaluate:
         assert rc == 0
         stdout = capsys.readouterr().out
         assert "test err" in stdout and "on 60 examples" in stdout
+        # reference: the error and the loss from two separate scoring passes
+        params, _, _ = load_checkpoint(out / "model-seed1.ckpt")
+        test = load_test_set(corpus_dir, 60)
+        err = classification_error(params, test)
+        loss = nll_loss(predict_probabilities(params, test.images),
+                        test.labels)
+        assert stdout == ("test err %.4f (%.2f%%) on %d examples, mean loss "
+                          "%.6f\n" % (err, 100.0 * err, 60, loss))
 
     def test_missing_model_exits_2(self, corpus_dir, capsys):
         rc = main(["evaluate", "--model", "/nonexistent.ckpt",
@@ -169,6 +195,8 @@ class TestEnsemble:
         ("dropout_hidden = -0.1", "dropout_hidden must lie in [0, 1), got -0.1"),
         ("stacker_dropout_hidden = 1.5",
          "stacker_dropout_hidden must lie in [0, 1), got 1.5"),
+        ("arch = 10-10", "arch input width 10 does not match the data's 784 "
+                         "values per example"),
     ])
     def test_bad_setting_exits_2_before_any_output(self, corpus_dir, tmp_path,
                                                    capsys, line, message):

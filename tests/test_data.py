@@ -116,6 +116,27 @@ class TestDataset:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Dataset(np.full((2, 4), 1.5), np.zeros(2, dtype=np.int64))
 
+    def test_batch_bit_equal_to_float64_split(self):
+        # every byte value, then rows gathered repeated and out of order
+        pixels = np.arange(7 * 40, dtype=np.int64).reshape(7, 40) % 256
+        pixels = pixels.astype(np.uint8)
+        ds = Dataset(pixels, np.zeros(7, dtype=np.int64))
+        old = pixels.astype(np.float64)  # how loading used to store a split
+        old /= 255.0
+        for idx in (np.array([5, 2, 2, 6, 0, 5]), np.arange(7), slice(1, 4)):
+            got = ds.batch(idx)
+            assert got.dtype == np.float64
+            assert got.tobytes() == old[idx].tobytes()
+        assert ds.images.tobytes() == old.tobytes()
+        assert ds.pixels.dtype == np.uint8
+
+    def test_float_batch_is_the_rows_themselves(self):
+        feats = np.random.default_rng(0).uniform(size=(5, 3))
+        ds = Dataset(feats, np.zeros(5, dtype=np.int64))
+        idx = np.array([4, 0, 4])
+        assert ds.batch(idx).tobytes() == feats[idx].tobytes()
+        assert ds.images.tobytes() == feats.tobytes()
+
 
 def write_pair_dir(tmp_path, n_train=6, n_test=4):
     d = tmp_path / "data"
@@ -143,6 +164,14 @@ class TestLoadSplits:
         # the test images are constant 255, scaled to exactly 1.0
         assert (splits.test.images == 1.0).all()
         assert len(splits.test) == 4
+
+    def test_splits_hold_one_byte_per_pixel(self, tmp_path):
+        d = write_pair_dir(tmp_path, n_train=6, n_test=4)
+        splits = load_splits_from_dir(d, 3, 2)
+        for part in splits:
+            assert part.pixels.dtype == np.uint8
+            assert part.pixels.shape == (len(part), 784)
+        assert sum(part.pixels.nbytes for part in splits) == (3 + 2 + 4) * 784
 
     def test_split_disjoint_union_is_prefix(self, tmp_path):
         d = write_pair_dir(tmp_path)

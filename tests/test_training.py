@@ -1,9 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from resprop.data import Dataset
 from resprop.dropout import DropoutSpec
-from resprop.network import LayerSpec, NetworkParams, chain_specs, init_params
+from resprop.network import (
+    LayerSpec,
+    NetworkParams,
+    backward,
+    chain_specs,
+    forward,
+    init_params,
+)
 from resprop.optimizers import RpropConfig, SgdConfig, init_rprop_state
 from resprop.tensor import RngStream
 from resprop.training import (
@@ -307,3 +316,69 @@ class TestDropoutIntegration:
         b = fit(toy_splits, "mod-rprop", RpropConfig(delta_init=0.01),
                 epochs=2, dropout=None)
         assert [r.train_loss for r in a.rows] != [r.train_loss for r in b.rows]
+
+
+def pixel_data(n, seed, n_features=16):
+    """Toy task as raw uint8 pixels, the way IDX files are loaded."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(10, size=n)
+    pixels = rng.integers(0, 80, size=(n, n_features)).astype(np.uint8)
+    pixels[np.arange(n), labels] += 150
+    return Dataset(pixels, labels)
+
+
+def as_float64(data):
+    """The same examples stored as float64, scaled as loading once did."""
+    images = data.pixels.astype(np.float64)
+    images /= 255.0
+    return Dataset(images, data.labels)
+
+
+class TestUint8Pixels:
+    """Training on uint8 pixels must match training on their float64
+    conversion bit for bit."""
+
+    @pytest.mark.parametrize("optimizer,cfg,dropout,with_rows", [
+        ("sgd", SgdConfig(0.1), None, False),
+        ("rprop", RpropConfig(delta_init=0.01), DropoutSpec((0.0, 0.5)), False),
+        ("mod-rprop", RpropConfig(delta_init=0.01), DropoutSpec((0.2, 0.5)),
+         True),
+    ])
+    def test_bit_equal_to_float64_dataset(self, optimizer, cfg, dropout,
+                                          with_rows):
+        train, val = pixel_data(300, seed=1), pixel_data(80, seed=2)
+        rows = (RngStream(3, 9).integers(len(train), size=297)
+                if with_rows else None)
+        params = init_params(chain_specs(SIZES), RngStream(3, 0))
+        kw = dict(epoch_cap=3, batch_size=32, seed=3, dropout=dropout,
+                  rows=rows)
+        got = train_model(params, train, val, optimizer, cfg,
+                          clock=counter_clock(), **kw)
+        ref = train_model(params, as_float64(train), as_float64(val),
+                          optimizer, cfg, clock=counter_clock(), **kw)
+        assert result_bytes(got) == result_bytes(ref)
+
+    def test_full_batch_peak_holds_one_step(self):
+        # A full-batch step of 3000 x 784 pixels through 784-300-100-10
+        # holds 48 MB (gather, forward caches, gradients), far above the
+        # parameters and optimizer state. Keeping the previous step's
+        # caches and gradients alive into the next step reads about 1.43x.
+        rng = np.random.default_rng(0)
+        n = 3000
+        train = Dataset(rng.integers(0, 256, size=(n, 784), dtype=np.uint8),
+                        rng.integers(10, size=n))
+        val = Dataset(train.pixels[:200].copy(), train.labels[:200].copy())
+        params = init_params(chain_specs((784, 300, 100, 10)), RngStream(1, 0))
+        tracemalloc.start()
+        try:
+            xb = train.batch(np.arange(n))
+            grads = backward(params, forward(params, xb), train.labels)
+            _, step = tracemalloc.get_traced_memory()
+            del xb, grads
+            tracemalloc.reset_peak()
+            train_model(params, train, val, "rprop", RpropConfig(),
+                        epoch_cap=3, batch_size=n, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * step, (peak, step)
