@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, TypeError, DivergenceError) as exc:
+    except (ValueError, OSError, TypeError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, DivergenceError) else 2
 

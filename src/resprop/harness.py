@@ -2,36 +2,16 @@
 
 Configs are flat key-value text (`key = value`, `#` comments). Unknown
 keys are rejected so typos cannot silently fall back to defaults. The
-documented keys, all optional except where noted:
-
-    arch            size chain, e.g. 784-300-100-10
-    activation      hidden activation (rectifier | logistic | tanh)
-    optimizer       sgd | rprop | mod-rprop
-    learning_rate   sgd step size
-    eta_plus        rprop growth factor
-    eta_minus       rprop shrink factor
-    delta_max       rprop step ceiling
-    delta_min       rprop step floor
-    delta_init      rprop initial step
-    epochs          epoch cap (>= 1)
-    batch_size      minibatch size (>= 1)
-    seeds           comma-separated run seeds, non-empty
-    dropout_input   input-layer dropout rate in [0, 1)
-    dropout_hidden  hidden-layer dropout rate in [0, 1)
-    data_dir        directory holding the IDX files (required to load data)
-    train_size      training split size
-    val_size        validation split size
-    test_size       test split size (empty = the whole test file)
-    out_dir         output directory for run artifacts
-    init_scale      uniform-fan-in | fixed-range:R
-    clock           wall | counter (counter gives reproducible timing columns)
+keys each kind accepts, with their defaults, are the fields of
+`ExperimentConfig` and `EnsembleRunConfig` (the size-chain field is
+keyed `arch`); the README's "Configuration keys" table documents them.
 
 Per run the harness writes `metrics-seed<N>.csv` (header
 `epoch,train_loss,val_err,elapsed_ms`), the selected model as
 `model-seed<N>.ckpt`, and the final parameters plus optimizer state as
-`final-seed<N>.ckpt` (a resume point). Per experiment it writes
-`runs.csv` (one summary row per seed) and `summary.txt` (a fixed-width
-table of per-seed medians).
+`final-seed<N>.ckpt`. Per experiment it writes `config.txt`, `runs.csv`
+(one summary row per seed) and `summary.txt` (a fixed-width table of
+per-seed medians). An ensemble run writes its spec as `spec.txt`.
 
 CSV formatting is deterministic: epochs as integers, error fractions
 with 4 decimals, elapsed milliseconds with 3, training loss with 17
@@ -42,7 +22,7 @@ exactly.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -51,8 +31,6 @@ import numpy as np
 from .data import DataSplits, load_splits_from_dir
 from .dropout import DropoutSpec
 from .ensemble import (
-    AGGREGATION_MODES,
-    ENSEMBLE_KINDS,
     EnsembleSpec,
     EnsembleTraining,
     StackerSpec,
@@ -82,14 +60,14 @@ RUNS_HEADER = ("seed,best_epoch,best_val_err,test_err,"
 CLOCK_NAMES = ("wall", "counter")
 
 
-def parse_size_chain(text: str) -> tuple[int, ...]:
+def parse_size_chain(text: str, min_sizes: int = 2) -> tuple[int, ...]:
     """'784-300-100-10' -> (784, 300, 100, 10)."""
     try:
         sizes = tuple(int(p) for p in text.strip().split("-"))
     except ValueError:
         raise ValueError(f"bad size chain {text!r}; expected like 784-300-10")
-    if len(sizes) < 2:
-        raise ValueError(f"size chain needs >= 2 sizes, got {text!r}")
+    if len(sizes) < min_sizes:
+        raise ValueError(f"size chain needs >= {min_sizes} sizes, got {text!r}")
     return sizes
 
 
@@ -97,19 +75,50 @@ def format_size_chain(sizes) -> str:
     return "-".join(str(s) for s in sizes)
 
 
+@dataclass(frozen=True, kw_only=True)
 class _RunSettings:
-    """What experiment and ensemble configs share: the settings check,
-    the clock and the data loading. Subclasses are frozen dataclasses
-    with the fields named here."""
+    """The settings experiment and ensemble configs share, with their
+    check, clock, data loading and optimizer and dropout builders. Each
+    kind extends it with its own fields; `_ARCH` names the kind's
+    size-chain field, which config text keys `arch`."""
 
-    def _check(self, counts: tuple[str, ...], rates: tuple[str, ...]) -> None:
-        """Every count >= 1, every rate in [0, 1), valid split sizes and
-        clock; called once from each config's __post_init__."""
-        for name in counts:
+    _ARCH = ""
+
+    activation: str = "rectifier"
+    eta_plus: float = 1.2
+    eta_minus: float = 0.5
+    delta_max: float = 50.0
+    delta_min: float = 1e-6
+    delta_init: float = 0.1
+    batch_size: int = 128
+    dropout_input: float = 0.0
+    dropout_hidden: float = 0.5
+    data_dir: str = ""
+    train_size: int = 5000
+    val_size: int = 1000
+    test_size: Optional[int] = None
+    init_scale: str = "uniform-fan-in"
+    clock: str = "wall"
+
+    @classmethod
+    def _keys(cls) -> dict[str, str]:
+        """Config key -> field name, in field order."""
+        return {"arch" if f.name == cls._ARCH else f.name: f.name
+                for f in fields(cls)}
+
+    @property
+    def arch(self) -> tuple[int, ...]:
+        return getattr(self, self._ARCH)
+
+    def _check(self, counts: tuple[str, ...], rates: tuple[str, ...] = ()) -> None:
+        """`batch_size` and the kind's `counts` >= 1, both dropout rates
+        and the kind's `rates` in [0, 1), valid split sizes and clock;
+        called once from each config's __post_init__."""
+        for name in counts + ("batch_size",):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        for name in rates:
+        for name in ("dropout_input", "dropout_hidden") + rates:
             r = getattr(self, name)
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {r}")
@@ -132,39 +141,36 @@ class _RunSettings:
         return load_splits_from_dir(self.data_dir, self.train_size,
                                     self.val_size, self.test_size)
 
-    def splits_for(self, splits: Optional[DataSplits], width: int) -> DataSplits:
+    def splits_for(self, splits: Optional[DataSplits]) -> DataSplits:
         """`splits` (or the configured data) checked against the input width."""
         splits = self.load_data() if splits is None else splits
-        have = splits.train.pixels.shape[1]
+        width, have = self.arch[0], splits.train.pixels.shape[1]
         if have != width:
             raise ValueError(f"arch input width {width} does not match the "
                              f"data's {have} values per example")
         return splits
 
+    def optimizer_config(self):
+        return RpropConfig(self.eta_plus, self.eta_minus, self.delta_max,
+                           self.delta_min, self.delta_init)
 
-@dataclass(frozen=True)
+    def dropout_spec(self) -> Optional[DropoutSpec]:
+        """Dropout for the `arch` network; None when both rates are 0."""
+        spec = DropoutSpec.for_sizes(self.arch, self.dropout_hidden,
+                                     self.dropout_input)
+        return None if spec.is_off else spec
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig(_RunSettings):
+    _ARCH = "sizes"
+
     sizes: tuple[int, ...] = (784, 300, 100, 10)
-    activation: str = "rectifier"
     optimizer: str = "mod-rprop"
     learning_rate: float = 0.01
-    eta_plus: float = 1.2
-    eta_minus: float = 0.5
-    delta_max: float = 50.0
-    delta_min: float = 1e-6
-    delta_init: float = 0.1
     epochs: int = 30
-    batch_size: int = 128
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
-    dropout_input: float = 0.0
-    dropout_hidden: float = 0.5
-    data_dir: str = ""
-    train_size: int = 5000
-    val_size: int = 1000
-    test_size: Optional[int] = None
     out_dir: str = "runs/out"
-    init_scale: str = "uniform-fan-in"
-    clock: str = "wall"
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
@@ -177,8 +183,9 @@ class ExperimentConfig(_RunSettings):
             )
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        self._check(("epochs", "batch_size"),
-                    ("dropout_input", "dropout_hidden"))
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        self._check(("epochs",))
 
     def layer_specs(self):
         return chain_specs(self.sizes, self.activation)
@@ -186,62 +193,152 @@ class ExperimentConfig(_RunSettings):
     def optimizer_config(self):
         if self.optimizer == "sgd":
             return SgdConfig(self.learning_rate)
-        return RpropConfig(self.eta_plus, self.eta_minus, self.delta_max,
-                           self.delta_min, self.delta_init)
-
-    def dropout_spec(self) -> Optional[DropoutSpec]:
-        spec = DropoutSpec.for_sizes(self.sizes, self.dropout_hidden,
-                                     self.dropout_input)
-        return None if spec.is_off else spec
+        return super().optimizer_config()
 
 
-_CONFIG_KEYS = {
-    "arch": ("sizes", parse_size_chain),
-    "activation": ("activation", str),
-    "optimizer": ("optimizer", str),
-    "learning_rate": ("learning_rate", float),
-    "eta_plus": ("eta_plus", float),
-    "eta_minus": ("eta_minus", float),
-    "delta_max": ("delta_max", float),
-    "delta_min": ("delta_min", float),
-    "delta_init": ("delta_init", float),
-    "epochs": ("epochs", int),
-    "batch_size": ("batch_size", int),
-    "seeds": ("seeds", lambda s: tuple(int(p) for p in s.split(",") if p.strip())),
-    "dropout_input": ("dropout_input", float),
-    "dropout_hidden": ("dropout_hidden", float),
-    "data_dir": ("data_dir", str),
-    "train_size": ("train_size", int),
-    "val_size": ("val_size", int),
-    "test_size": ("test_size", lambda s: int(s) if s.strip() else None),
-    "out_dir": ("out_dir", str),
-    "init_scale": ("init_scale", str),
-    "clock": ("clock", str),
+@dataclass(frozen=True, kw_only=True)
+class EnsembleRunConfig(_RunSettings):
+    """Flat-file configuration for one ensemble build."""
+
+    _ARCH = "member_sizes"
+
+    kind: str = "bagging"
+    size: int = 3
+    member_sizes: tuple[int, ...] = (784, 300, 100, 10)
+    member_epochs: int = 10
+    aggregation: str = "probability-average"
+    stacker_epochs: int = 200
+    stacker_hidden: Optional[tuple[int, ...]] = None
+    seed: int = 1
+    stacker_dropout_hidden: float = 0.0
+    out_dir: str = "runs/ensemble"
+
+    def __post_init__(self):
+        object.__setattr__(self, "member_sizes",
+                           tuple(int(s) for s in self.member_sizes))
+        if self.stacker_hidden is not None:
+            object.__setattr__(self, "stacker_hidden",
+                               tuple(int(s) for s in self.stacker_hidden))
+        self._check(("size", "member_epochs", "stacker_epochs"),
+                    ("stacker_dropout_hidden",))
+        self.ensemble_spec()  # checks kind and aggregation
+
+    def ensemble_spec(self) -> EnsembleSpec:
+        return EnsembleSpec(self.kind, self.size, self.member_sizes,
+                            self.member_epochs, self.aggregation)
+
+    def stacker_spec(self) -> Optional[StackerSpec]:
+        if self.kind != "stacking":
+            return None
+        if self.stacker_hidden is not None:
+            return StackerSpec(self.stacker_hidden, self.stacker_epochs)
+        return StackerSpec.for_members(self.size, self.stacker_epochs)
+
+    member_dropout = _RunSettings.dropout_spec
+
+    def stacker_dropout(self) -> Optional[DropoutSpec]:
+        if self.kind != "stacking" or self.stacker_dropout_hidden == 0.0:
+            return None
+        chain = self.stacker_spec().size_chain(
+            self.size, self.member_sizes[-1])
+        return DropoutSpec.for_sizes(chain, self.stacker_dropout_hidden, 0.0)
+
+
+def _optional(parse):
+    """`parse`, with an empty value meaning None."""
+    return lambda s: parse(s) if s.strip() else None
+
+
+# Config key -> parser of its text value, for every key of either kind.
+_PARSERS = {
+    "arch": parse_size_chain,
+    "activation": str,
+    "eta_plus": float,
+    "eta_minus": float,
+    "delta_max": float,
+    "delta_min": float,
+    "delta_init": float,
+    "batch_size": int,
+    "dropout_input": float,
+    "dropout_hidden": float,
+    "data_dir": str,
+    "train_size": int,
+    "val_size": int,
+    "test_size": _optional(int),
+    "init_scale": str,
+    "clock": str,
+    "out_dir": str,
+    "optimizer": str,
+    "learning_rate": float,
+    "epochs": int,
+    "seeds": lambda s: tuple(int(p) for p in s.split(",") if p.strip()),
+    "kind": str,
+    "size": int,
+    "member_epochs": int,
+    "aggregation": str,
+    "stacker_epochs": int,
+    "stacker_hidden": _optional(lambda s: parse_size_chain(s, 1)),
+    "seed": int,
+    "stacker_dropout_hidden": float,
 }
+
+
+def _parse_flat(text: str, cls, what: str):
+    """A `cls` config from key-value text; errors name `what` and the line."""
+    keys = cls._keys()
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{what} line {lineno}: expected 'key = value', "
+                             f"got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise ValueError(f"{what} line {lineno}: unknown key {key!r}")
+        if keys[key] in values:
+            raise ValueError(f"{what} line {lineno}: duplicate key {key!r}")
+        try:
+            values[keys[key]] = _PARSERS[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(
+                f"{what} line {lineno}: bad value for {key!r}: {exc}"
+            ) from None
+    return cls(**values)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat key-value config text; unknown keys are errors."""
-    return ExperimentConfig(**_parse_flat(text, _CONFIG_KEYS, "config"))
+    return _parse_flat(text, ExperimentConfig, "config")
 
 
 def read_config(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
-def config_to_text(cfg: ExperimentConfig) -> str:
-    """Render a config as parseable key-value text (inverse of parse)."""
-    lines = []
-    for key, (field_name, _) in _CONFIG_KEYS.items():
-        value = getattr(cfg, field_name)
-        if field_name == "sizes":
-            value = format_size_chain(value)
-        elif field_name == "seeds":
-            value = ",".join(str(s) for s in value)
-        elif value is None:
-            value = ""
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+def parse_ensemble_config(text: str) -> EnsembleRunConfig:
+    return _parse_flat(text, EnsembleRunConfig, "ensemble spec")
+
+
+def read_ensemble_config(path) -> EnsembleRunConfig:
+    return parse_ensemble_config(Path(path).read_text())
+
+
+def _format_value(key: str, value) -> str:
+    if value is None:
+        return ""
+    if key == "seeds":
+        return ",".join(str(s) for s in value)
+    return format_size_chain(value) if isinstance(value, tuple) else str(value)
+
+
+def config_to_text(cfg: _RunSettings) -> str:
+    """Render either kind of config as parseable key-value text (inverse
+    of parse)."""
+    return "".join(f"{key} = {_format_value(key, getattr(cfg, name))}\n"
+                   for key, name in cfg._keys().items())
 
 
 @dataclass(frozen=True)
@@ -409,14 +506,11 @@ class ExperimentResult:
     def summaries(self) -> list[RunSummary]:
         return [r.summary() for r in self.records]
 
-    def test_errors(self) -> list[float]:
-        return [r.test_err_at_best for r in self.records]
-
 
 def run_experiment(cfg: ExperimentConfig, splits: Optional[DataSplits] = None,
                    save: bool = True, label: str = "model") -> ExperimentResult:
     """Run every seed in the config; optionally write the artifact set."""
-    splits = cfg.splits_for(splits, cfg.sizes[0])
+    splits = cfg.splits_for(splits)
     opt_cfg = cfg.optimizer_config()  # checks the optimizer settings
     out = Path(cfg.out_dir)
     if save:
@@ -509,148 +603,6 @@ def compare_runs(summaries_a: Sequence[RunSummary],
                             wres, confidence)
 
 
-@dataclass(frozen=True)
-class EnsembleRunConfig(_RunSettings):
-    """Flat-file configuration for one ensemble build (see parse keys)."""
-
-    kind: str = "bagging"
-    size: int = 3
-    member_sizes: tuple[int, ...] = (784, 300, 100, 10)
-    activation: str = "rectifier"
-    member_epochs: int = 10
-    aggregation: str = "probability-average"
-    stacker_epochs: int = 200
-    stacker_hidden: Optional[tuple[int, ...]] = None
-    eta_plus: float = 1.2
-    eta_minus: float = 0.5
-    delta_max: float = 50.0
-    delta_min: float = 1e-6
-    delta_init: float = 0.1
-    batch_size: int = 128
-    seed: int = 1
-    dropout_input: float = 0.0
-    dropout_hidden: float = 0.5
-    stacker_dropout_hidden: float = 0.0
-    data_dir: str = ""
-    train_size: int = 5000
-    val_size: int = 1000
-    test_size: Optional[int] = None
-    out_dir: str = "runs/ensemble"
-    init_scale: str = "uniform-fan-in"
-    clock: str = "wall"
-
-    def __post_init__(self):
-        object.__setattr__(self, "member_sizes",
-                           tuple(int(s) for s in self.member_sizes))
-        if self.stacker_hidden is not None:
-            object.__setattr__(self, "stacker_hidden",
-                               tuple(int(s) for s in self.stacker_hidden))
-        if self.kind not in ENSEMBLE_KINDS:
-            raise ValueError(f"kind must be one of {ENSEMBLE_KINDS}, "
-                             f"got {self.kind!r}")
-        if self.aggregation not in AGGREGATION_MODES:
-            raise ValueError(f"aggregation must be one of {AGGREGATION_MODES}, "
-                             f"got {self.aggregation!r}")
-        self._check(("size", "member_epochs", "stacker_epochs", "batch_size"),
-                    ("dropout_input", "dropout_hidden",
-                     "stacker_dropout_hidden"))
-
-    def ensemble_spec(self) -> EnsembleSpec:
-        return EnsembleSpec(self.kind, self.size, self.member_sizes,
-                            self.member_epochs, self.aggregation)
-
-    def stacker_spec(self) -> Optional[StackerSpec]:
-        if self.kind != "stacking":
-            return None
-        if self.stacker_hidden is not None:
-            return StackerSpec(self.stacker_hidden, self.stacker_epochs)
-        return StackerSpec.for_members(self.size, self.stacker_epochs)
-
-    def optimizer_config(self) -> RpropConfig:
-        return RpropConfig(self.eta_plus, self.eta_minus, self.delta_max,
-                           self.delta_min, self.delta_init)
-
-    def member_dropout(self) -> Optional[DropoutSpec]:
-        spec = DropoutSpec.for_sizes(self.member_sizes, self.dropout_hidden,
-                                     self.dropout_input)
-        return None if spec.is_off else spec
-
-    def stacker_dropout(self) -> Optional[DropoutSpec]:
-        if self.kind != "stacking" or self.stacker_dropout_hidden == 0.0:
-            return None
-        chain = self.stacker_spec().size_chain(
-            self.size, self.member_sizes[-1])
-        return DropoutSpec.for_sizes(chain, self.stacker_dropout_hidden, 0.0)
-
-
-def _parse_opt_sizes(s: str):
-    return parse_size_chain(s) if s.strip() else None
-
-
-_ENSEMBLE_KEYS = {
-    "kind": ("kind", str),
-    "size": ("size", int),
-    "arch": ("member_sizes", parse_size_chain),
-    "activation": ("activation", str),
-    "member_epochs": ("member_epochs", int),
-    "aggregation": ("aggregation", str),
-    "stacker_epochs": ("stacker_epochs", int),
-    "stacker_hidden": ("stacker_hidden", _parse_opt_sizes),
-    "eta_plus": ("eta_plus", float),
-    "eta_minus": ("eta_minus", float),
-    "delta_max": ("delta_max", float),
-    "delta_min": ("delta_min", float),
-    "delta_init": ("delta_init", float),
-    "batch_size": ("batch_size", int),
-    "seed": ("seed", int),
-    "dropout_input": ("dropout_input", float),
-    "dropout_hidden": ("dropout_hidden", float),
-    "stacker_dropout_hidden": ("stacker_dropout_hidden", float),
-    "data_dir": ("data_dir", str),
-    "train_size": ("train_size", int),
-    "val_size": ("val_size", int),
-    "test_size": ("test_size", lambda s: int(s) if s.strip() else None),
-    "out_dir": ("out_dir", str),
-    "init_scale": ("init_scale", str),
-    "clock": ("clock", str),
-}
-
-
-def _parse_flat(text: str, keys: dict, what: str) -> dict:
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{what} line {lineno}: expected 'key = value', "
-                             f"got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in keys:
-            raise ValueError(f"{what} line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ValueError(f"{what} line {lineno}: duplicate key {key!r}")
-        field_name, convert = keys[key]
-        try:
-            values[field_name] = convert(value)
-        except ValueError as exc:
-            raise ValueError(
-                f"{what} line {lineno}: bad value for {key!r}: {exc}"
-            ) from None
-    return values
-
-
-def parse_ensemble_config(text: str) -> EnsembleRunConfig:
-    return EnsembleRunConfig(**_parse_flat(text, _ENSEMBLE_KEYS,
-                                           "ensemble spec"))
-
-
-def read_ensemble_config(path) -> EnsembleRunConfig:
-    return parse_ensemble_config(Path(path).read_text())
-
-
 @dataclass
 class EnsembleRunOutput:
     cfg: EnsembleRunConfig
@@ -662,7 +614,7 @@ class EnsembleRunOutput:
 def run_ensemble(cfg: EnsembleRunConfig, splits: Optional[DataSplits] = None,
                  save: bool = True) -> EnsembleRunOutput:
     """Train an ensemble per config, score it, optionally save artifacts."""
-    splits = cfg.splits_for(splits, cfg.member_sizes[0])
+    splits = cfg.splits_for(splits)
     training = train_ensemble(
         cfg.ensemble_spec(), splits, cfg.optimizer_config(), seed=cfg.seed,
         batch_size=cfg.batch_size, member_dropout=cfg.member_dropout(),
@@ -676,6 +628,7 @@ def run_ensemble(cfg: EnsembleRunConfig, splits: Optional[DataSplits] = None,
     if save:
         out_dir = Path(cfg.out_dir)
         save_ensemble(out_dir, training, seed=cfg.seed)
+        (out_dir / "spec.txt").write_text(config_to_text(cfg))
         lines = [f"kind {cfg.kind}  size {cfg.size}  "
                  f"aggregation {cfg.aggregation}"]
         for i, err in enumerate(member_errs):

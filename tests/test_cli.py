@@ -72,6 +72,7 @@ class TestTrain:
         ("val_size = 0", "train_size and val_size must be >= 1, got 200 and 0"),
         ("test_size = 0", "test_size must be >= 1 when given, got 0"),
         ("learning_rate = nan", "learning_rate must be > 0, got nan"),
+        ("seeds = 1,1", "seeds must be distinct, got (1, 1)"),
         ("arch = 10-10", "arch input width 10 does not match the data's 784 "
                          "values per example"),
     ])
@@ -99,6 +100,11 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: training diverged at epoch 1: loss nan\n")
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -132,6 +138,13 @@ class TestEvaluate:
         rc = main(["evaluate", "--model", "/nonexistent.ckpt",
                    "--data", str(corpus_dir)])
         assert rc == 2
+
+    def test_model_directory_exits_2(self, corpus_dir, tmp_path, capsys):
+        rc = main(["evaluate", "--model", str(tmp_path),
+                   "--data", str(corpus_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_every_truncated_checkpoint_exits_2(self, corpus_dir, tmp_path,
                                                 capsys):

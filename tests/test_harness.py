@@ -2,6 +2,7 @@
 
 import dataclasses
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from resprop.harness import (
     parse_metrics,
     parse_runs_csv,
     parse_size_chain,
+    run_ensemble,
     run_experiment,
     train_run,
 )
@@ -105,6 +107,10 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=r"line 2: duplicate key 'epochs'"):
             parse_config("epochs = 3\nepochs = 4\n")
 
+    def test_duplicate_arch_rejected(self):
+        with pytest.raises(ValueError, match=r"line 2: duplicate key 'arch'"):
+            parse_config("arch = 16-10\narch = 16-8-10\n")
+
     def test_line_without_equals_rejected(self):
         with pytest.raises(ValueError, match=r"expected 'key = value'"):
             parse_config("epochs 3\n")
@@ -150,6 +156,11 @@ class TestExperimentConfigValidation:
     def test_empty_seeds(self):
         with pytest.raises(ValueError, match="seeds must be non-empty"):
             ExperimentConfig(seeds=())
+
+    def test_repeated_seeds(self):
+        with pytest.raises(ValueError,
+                           match=r"seeds must be distinct, got \(1, 1\)"):
+            parse_config("seeds = 1,1\n")
 
     def test_clock_name(self):
         with pytest.raises(ValueError, match="clock must be one of"):
@@ -398,7 +409,6 @@ class TestRunExperiment:
         table = (out / "summary.txt").read_text()
         assert table.splitlines()[1].startswith("sgd")
         assert len(exp.records) == 2
-        assert exp.test_errors() == [r.test_err_at_best for r in exp.records]
 
     def test_sgd_final_checkpoint_has_no_state(self, tmp_path):
         cfg = toy_config(out_dir=str(tmp_path), seeds=(1,))
@@ -478,3 +488,127 @@ class TestEnsembleConfig:
         cfg = parse_ensemble_config("delta_init = 0.003\ndelta_max = 5\n")
         opt = cfg.optimizer_config()
         assert opt.delta_init == 0.003 and opt.delta_max == 5.0
+
+    def test_run_records_its_spec(self, tmp_path):
+        cfg = EnsembleRunConfig(kind="stacking", size=2, member_sizes=(16, 12, 10),
+                                member_epochs=1, stacker_epochs=2,
+                                stacker_hidden=(8,), batch_size=8,
+                                dropout_hidden=0.0, clock="counter",
+                                out_dir=str(tmp_path / "ens"))
+        run_ensemble(cfg, toy_splits(), save=True)
+        spec = (tmp_path / "ens" / "spec.txt").read_text()
+        assert parse_ensemble_config(spec) == cfg
+
+
+EXPERIMENT_DEFAULT_TEXT = """\
+activation = rectifier
+eta_plus = 1.2
+eta_minus = 0.5
+delta_max = 50.0
+delta_min = 1e-06
+delta_init = 0.1
+batch_size = 128
+dropout_input = 0.0
+dropout_hidden = 0.5
+data_dir = 
+train_size = 5000
+val_size = 1000
+test_size = 
+init_scale = uniform-fan-in
+clock = wall
+arch = 784-300-100-10
+optimizer = mod-rprop
+learning_rate = 0.01
+epochs = 30
+seeds = 1,2,3,4,5
+out_dir = runs/out
+"""
+
+ENSEMBLE_DEFAULT_TEXT = """\
+activation = rectifier
+eta_plus = 1.2
+eta_minus = 0.5
+delta_max = 50.0
+delta_min = 1e-06
+delta_init = 0.1
+batch_size = 128
+dropout_input = 0.0
+dropout_hidden = 0.5
+data_dir = 
+train_size = 5000
+val_size = 1000
+test_size = 
+init_scale = uniform-fan-in
+clock = wall
+kind = bagging
+size = 3
+arch = 784-300-100-10
+member_epochs = 10
+aggregation = probability-average
+stacker_epochs = 200
+stacker_hidden = 
+seed = 1
+stacker_dropout_hidden = 0.0
+out_dir = runs/ensemble
+"""
+
+
+def text_settings(text):
+    """key -> value text of rendered config text."""
+    return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
+def readme_defaults():
+    """key -> default text per column of the README's key table; a key
+    marked with a dash is left out of that column."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    train, ensemble = {}, {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        key, train_cell, ensemble_cell = (
+            c.strip() for c in line.strip("|").split("|")[:3])
+        for column, cell in ((train, train_cell), (ensemble, ensemble_cell)):
+            if cell != "\u2014":
+                column[key.strip("`")] = cell.strip("`")
+    return train, ensemble
+
+
+class TestConfigSchema:
+    def test_experiment_keys_and_defaults(self):
+        assert config_to_text(ExperimentConfig()) == EXPERIMENT_DEFAULT_TEXT
+        assert len(text_settings(EXPERIMENT_DEFAULT_TEXT)) == 21
+
+    def test_ensemble_keys_and_defaults(self):
+        assert config_to_text(EnsembleRunConfig()) == ENSEMBLE_DEFAULT_TEXT
+        assert len(text_settings(ENSEMBLE_DEFAULT_TEXT)) == 25
+
+    @pytest.mark.parametrize("cfg", [
+        EnsembleRunConfig(),
+        EnsembleRunConfig(kind="stacking", size=4, member_sizes=(16, 8, 10),
+                          activation="tanh", member_epochs=2,
+                          aggregation="majority-vote", stacker_epochs=7,
+                          stacker_hidden=(32, 16), eta_plus=1.1,
+                          eta_minus=0.4, delta_max=5.0, delta_min=1e-7,
+                          delta_init=0.003, batch_size=16, seed=9,
+                          dropout_input=0.2, dropout_hidden=0.25,
+                          stacker_dropout_hidden=0.1, data_dir="/tmp/d",
+                          train_size=300, val_size=50, test_size=40,
+                          out_dir="ens", init_scale="fixed-range:0.05",
+                          clock="counter"),
+    ])
+    def test_ensemble_round_trip_through_text(self, cfg):
+        assert parse_ensemble_config(config_to_text(cfg)) == cfg
+
+    def test_each_kind_rejects_the_others_keys(self):
+        with pytest.raises(ValueError, match="config line 1: unknown key 'kind'"):
+            parse_config("kind = bagging\n")
+        with pytest.raises(ValueError,
+                           match="ensemble spec line 1: unknown key 'seeds'"):
+            parse_ensemble_config("seeds = 1,2\n")
+
+    def test_readme_table_matches_defaults(self):
+        train, ensemble = readme_defaults()
+        assert train == text_settings(config_to_text(ExperimentConfig()))
+        assert ensemble == text_settings(config_to_text(EnsembleRunConfig()))
