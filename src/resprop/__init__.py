@@ -19,8 +19,8 @@ from .data import (
     read_idx,
     serialize_idx,
 )
-from .dropout import (DropoutMask, DropoutSpec, all_ones_mask, apply_mask,
-                      sample_mask, sample_masks)
+from .dropout import (DropoutMask, DropoutSpec, all_ones_mask, sample_mask,
+                      sample_masks)
 from .ensemble import (
     EnsembleModel,
     EnsembleSpec,
@@ -83,7 +83,7 @@ __all__ = [
     "DataSplits", "Dataset", "IdxFormatError", "load_splits",
     "load_splits_from_dir", "load_test_set", "parse_idx", "read_idx",
     "serialize_idx",
-    "DropoutMask", "DropoutSpec", "all_ones_mask", "apply_mask", "sample_mask",
+    "DropoutMask", "DropoutSpec", "all_ones_mask", "sample_mask",
     "sample_masks",
     "EnsembleModel", "EnsembleSpec", "StackerSpec", "aggregate",
     "bootstrap_resample", "stack_features", "train_ensemble",

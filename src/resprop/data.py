@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import RngStream
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
@@ -102,7 +101,6 @@ class Dataset:
 
     pixels: np.ndarray  # (n, d) uint8, or float64 in [0, 1]
     labels: np.ndarray  # (n,) int64
-    split_tag: str = "train"
 
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels)
@@ -139,8 +137,7 @@ class DataSplits(NamedTuple):
     test: Dataset
 
 
-def _images_to_dataset(images: np.ndarray, labels: np.ndarray,
-                       tag: str) -> Dataset:
+def _images_to_dataset(images: np.ndarray, labels: np.ndarray) -> Dataset:
     if images.ndim != 3:
         raise ValueError(f"expected n x rows x cols images, got {images.shape}")
     if labels.ndim != 1:
@@ -151,62 +148,54 @@ def _images_to_dataset(images: np.ndarray, labels: np.ndarray,
             f"labels must be digit classes in [0, 10), got max {labels.max()}"
         )
     # a copy, so a prefix does not pin the whole file's payload
-    return Dataset(images.reshape(n, -1).copy(), labels.astype(np.int64), tag)
+    return Dataset(images.reshape(n, -1).copy(), labels.astype(np.int64))
+
+
+def _read_pair(images_path, labels_path, which: str):
+    images, labels = read_idx(images_path), read_idx(labels_path)
+    if len(images) != len(labels):
+        raise ValueError(f"{which} pair disagrees: {len(images)} images vs "
+                         f"{len(labels)} labels")
+    return images, labels
+
+
+def _read_test_set(images_path, labels_path, size: int | None) -> Dataset:
+    """The leading `size` examples of the test pair (all of it when None)."""
+    images, labels = _read_pair(images_path, labels_path, "test")
+    if size is not None:
+        if size < 1:
+            raise ValueError(f"test_size must be >= 1, got {size}")
+        if size > len(images):
+            raise ValueError(f"test_size {size} exceeds the {len(images)} "
+                             f"available test examples")
+        images, labels = images[:size], labels[:size]
+    return _images_to_dataset(images, labels)
 
 
 def load_splits(train_images_path, train_labels_path,
                 test_images_path, test_labels_path,
                 train_size: int, val_size: int,
-                test_size: int | None = None,
-                shuffle_seed: int | None = None) -> DataSplits:
+                test_size: int | None = None) -> DataSplits:
     """Load the train/validation/test datasets from two IDX file pairs.
 
     Training and validation come from the training pair in file order
     (first train_size, next val_size); the test set is the leading
     test_size examples of the test pair (all of it when None). Each
-    size must be at least 1. Passing
-    `shuffle_seed` permutes the training pair deterministically before
-    the prefix split, for robustness studies; the default keeps file
-    order so no extra seed enters the standard protocol.
+    size must be at least 1.
     """
-    for name, size in (("train_size", train_size), ("val_size", val_size),
-                       ("test_size", 1 if test_size is None else test_size)):
+    for name, size in (("train_size", train_size), ("val_size", val_size)):
         if size < 1:
             raise ValueError(f"{name} must be >= 1, got {size}")
-    timg = read_idx(train_images_path)
-    tlab = read_idx(train_labels_path)
-    if len(timg) != len(tlab):
-        raise ValueError(
-            f"training pair disagrees: {len(timg)} images vs {len(tlab)} labels"
-        )
+    timg, tlab = _read_pair(train_images_path, train_labels_path, "training")
     if train_size + val_size > len(timg):
         raise ValueError(
             f"split ({train_size}, {val_size}) exceeds the {len(timg)} "
             f"available training examples"
         )
-    if shuffle_seed is not None:
-        order = RngStream(shuffle_seed, 0).permutation(len(timg))
-        timg, tlab = timg[order], tlab[order]
-    train = _images_to_dataset(timg[:train_size], tlab[:train_size], "train")
-    validation = _images_to_dataset(
-        timg[train_size:train_size + val_size],
-        tlab[train_size:train_size + val_size], "validation",
-    )
-
-    simg = read_idx(test_images_path)
-    slab = read_idx(test_labels_path)
-    if len(simg) != len(slab):
-        raise ValueError(
-            f"test pair disagrees: {len(simg)} images vs {len(slab)} labels"
-        )
-    if test_size is not None:
-        if test_size > len(simg):
-            raise ValueError(
-                f"test_size {test_size} exceeds the {len(simg)} available "
-                f"test examples"
-            )
-        simg, slab = simg[:test_size], slab[:test_size]
-    test = _images_to_dataset(simg, slab, "test")
+    train = _images_to_dataset(timg[:train_size], tlab[:train_size])
+    end = train_size + val_size
+    validation = _images_to_dataset(timg[train_size:end], tlab[train_size:end])
+    test = _read_test_set(test_images_path, test_labels_path, test_size)
     return DataSplits(train, validation, test)
 
 
@@ -236,29 +225,16 @@ def find_standard_files(data_dir) -> dict[str, Path]:
 
 
 def load_splits_from_dir(data_dir, train_size: int, val_size: int,
-                         test_size: int | None = None,
-                         shuffle_seed: int | None = None) -> DataSplits:
+                         test_size: int | None = None) -> DataSplits:
     files = find_standard_files(data_dir)
     return load_splits(
         files["train_images"], files["train_labels"],
         files["test_images"], files["test_labels"],
-        train_size, val_size, test_size, shuffle_seed,
+        train_size, val_size, test_size,
     )
 
 
 def load_test_set(data_dir, size: int | None = None) -> Dataset:
     """Just the test pair from a standard-named directory."""
     files = find_standard_files(data_dir)
-    simg = read_idx(files["test_images"])
-    slab = read_idx(files["test_labels"])
-    if len(simg) != len(slab):
-        raise ValueError(
-            f"test pair disagrees: {len(simg)} images vs {len(slab)} labels"
-        )
-    if size is not None:
-        if not 1 <= size <= len(simg):
-            raise ValueError(
-                f"test size {size} out of range for {len(simg)} examples"
-            )
-        simg, slab = simg[:size], slab[:size]
-    return _images_to_dataset(simg, slab, "test")
+    return _read_test_set(files["test_images"], files["test_labels"], size)

@@ -12,8 +12,8 @@ the trained weights are used unscaled when the whole network is
 evaluated. Directly constructed masks default to scale 1 (pure
 thinning), which is what the equivalence tests use. A directly
 constructed mask may mute output nodes too; that affects the weight
-and bias views (and hence `apply_mask` and optimizer freezing) but the
-softmax head in `forward` only applies the input and hidden masks.
+and bias views (and hence optimizer freezing) but the softmax head in
+`forward` only applies the input and hidden masks.
 """
 
 from __future__ import annotations
@@ -154,14 +154,3 @@ def sample_mask(spec: DropoutSpec, architecture, rng: RngStream) -> DropoutMask:
     """Sample one iteration's mask: `sample_masks` with a count of 1."""
     return sample_masks(spec, architecture, rng, 1)[0]
 
-
-def apply_mask(params: NetworkParams, mask: DropoutMask) -> NetworkParams:
-    """Thinned copy of `params`: weights times the weight masks, biases
-    times their node masks. The input is left untouched."""
-    wmasks = mask.weight_masks(params)
-    bmasks = mask.bias_masks(params)
-    return NetworkParams(
-        params.specs,
-        [w * m for w, m in zip(params.weights, wmasks)],
-        [b * m for b, m in zip(params.biases, bmasks)],
-    )

@@ -62,11 +62,10 @@ class GradCheckReport:
 
 
 def gradient_check(params: NetworkParams, x, labels, h: float = DEFAULT_H,
-                   tol: float = 1e-5, mask=None,
-                   rel_floor: float = REL_FLOOR) -> GradCheckReport:
+                   tol: float = 1e-5, mask=None) -> GradCheckReport:
     """Compare analytic and finite-difference gradients coordinatewise.
 
-    Relative error per coordinate is |a - f| / max(|a|, |f|, rel_floor).
+    Relative error per coordinate is |a - f| / max(|a|, |f|, REL_FLOOR).
     """
     cache = forward(params, x, mask)
     analytic = backward(params, cache, labels, mask)
@@ -82,7 +81,7 @@ def gradient_check(params: NetworkParams, x, labels, h: float = DEFAULT_H,
     ]
     for name, a_list, f_list in pairs:
         for layer, (a, f) in enumerate(zip(a_list, f_list)):
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), rel_floor)
+            denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), REL_FLOOR)
             rel = np.abs(a - f) / denom
             total += rel.size
             within += int((rel <= tol).sum())

@@ -84,7 +84,6 @@ class _RunSettings:
 
     _ARCH = ""
 
-    activation: str = "rectifier"
     eta_plus: float = 1.2
     eta_minus: float = 0.5
     delta_max: float = 50.0
@@ -166,6 +165,7 @@ class ExperimentConfig(_RunSettings):
     _ARCH = "sizes"
 
     sizes: tuple[int, ...] = (784, 300, 100, 10)
+    activation: str = "rectifier"
     optimizer: str = "mod-rprop"
     learning_rate: float = 0.01
     epochs: int = 30
@@ -219,6 +219,9 @@ class EnsembleRunConfig(_RunSettings):
         if self.stacker_hidden is not None:
             object.__setattr__(self, "stacker_hidden",
                                tuple(int(s) for s in self.stacker_hidden))
+            if not self.stacker_hidden:
+                raise ValueError("stacker_hidden needs a hidden size; leave "
+                                 "it empty for the default stacker")
         self._check(("size", "member_epochs", "stacker_epochs"),
                     ("stacker_dropout_hidden",))
         self.ensemble_spec()  # checks kind and aggregation
@@ -252,7 +255,6 @@ def _optional(parse):
 # Config key -> parser of its text value, for every key of either kind.
 _PARSERS = {
     "arch": parse_size_chain,
-    "activation": str,
     "eta_plus": float,
     "eta_minus": float,
     "delta_max": float,
@@ -268,6 +270,7 @@ _PARSERS = {
     "init_scale": str,
     "clock": str,
     "out_dir": str,
+    "activation": str,
     "optimizer": str,
     "learning_rate": float,
     "epochs": int,

@@ -31,6 +31,7 @@ process invocations.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -80,19 +81,13 @@ def wall_clock() -> float:
     return time.perf_counter()
 
 
-def counter_clock(step_seconds: float = 1.0) -> Callable[[], float]:
-    """Deterministic clock: each call advances by a fixed step.
+def counter_clock() -> Callable[[], float]:
+    """Deterministic clock: each call advances by one second.
 
     Substituting it for `wall_clock` makes elapsed-time columns
-    reproducible across processes (epoch i reads i * step seconds).
+    reproducible across processes (epoch i reads i seconds).
     """
-    state = {"t": 0.0}
-
-    def tick() -> float:
-        state["t"] += step_seconds
-        return state["t"]
-
-    return tick
+    return itertools.count(1.0).__next__
 
 
 @dataclass(frozen=True)
@@ -189,7 +184,6 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
                 optimizer: str, opt_cfg, *, epoch_cap: int,
                 batch_size: int = 128, seed: int, stream_base: int = 0,
                 dropout: Optional[DropoutSpec] = None,
-                state: Optional[RpropState] = None,
                 clock: Optional[Callable[[], float]] = None,
                 rows=None) -> TrainResult:
     """Train for `epoch_cap` epochs, keeping the best-validation model.
@@ -202,10 +196,9 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
     `train`, so the resampled set is never materialized.
 
     Best means lowest validation error; ties go to the earliest epoch.
-    An existing `state` resumes rprop-family training; otherwise state
-    is initialized from `opt_cfg`. Neither `params` nor `state` is
-    modified: training steps private copies in place. Raises
-    DivergenceError when the epoch training loss is not finite.
+    Rprop-family state starts from `opt_cfg`. `params` is not modified:
+    training steps a private copy in place. Raises DivergenceError when
+    the epoch training loss is not finite.
     """
     if epoch_cap < 1:
         raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
@@ -232,9 +225,7 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
     mask_rng = RngStream(seed, stream_base + STREAM_DROPOUT)
     ones_mask = all_ones_mask(params.specs) if optimizer == "mod-rprop" else None
     params = params.copy()
-    if optimizer != "sgd":
-        state = (init_rprop_state(params, opt_cfg) if state is None
-                 else state.copy())
+    state = None if optimizer == "sgd" else init_rprop_state(params, opt_cfg)
     step = _optimizer_transition(optimizer, opt_cfg, ones_mask)
 
     n = len(train) if rows is None else len(rows)

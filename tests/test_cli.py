@@ -196,6 +196,14 @@ class TestEnsemble:
         assert main(["ensemble", "--spec", str(spec)]) == 2
         assert "kind must be one of" in capsys.readouterr().err
 
+    def test_activation_is_not_an_ensemble_key(self, tmp_path, capsys):
+        # members are always rectifier networks
+        spec = tmp_path / "tanh.cfg"
+        spec.write_text("activation = tanh\n")
+        assert main(["ensemble", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            "error: ensemble spec line 1: unknown key 'activation'\n")
+
     @pytest.mark.parametrize("line,message", [
         ("val_size = 0", "train_size and val_size must be >= 1, got 200 and 0"),
         ("train_size = 0", "train_size and val_size must be >= 1, got 0 and 60"),

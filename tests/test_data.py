@@ -159,8 +159,6 @@ class TestLoadSplits:
         assert len(splits.train) == 3 and len(splits.validation) == 2
         assert splits.train.labels.tolist() == [0, 1, 2]
         assert splits.validation.labels.tolist() == [3, 4]
-        assert splits.train.split_tag == "train"
-        assert splits.validation.split_tag == "validation"
         # the test images are constant 255, scaled to exactly 1.0
         assert (splits.test.images == 1.0).all()
         assert len(splits.test) == 4
@@ -213,16 +211,6 @@ class TestLoadSplits:
         with pytest.raises(ValueError, match="digit classes"):
             load_splits_from_dir(d, 4, 2)
 
-    def test_shuffle_seed_permutes_deterministically(self, tmp_path):
-        d = write_pair_dir(tmp_path)
-        a = load_splits_from_dir(d, 4, 2, shuffle_seed=5)
-        b = load_splits_from_dir(d, 4, 2, shuffle_seed=5)
-        assert a.train.labels.tolist() == b.train.labels.tolist()
-        joined = sorted(a.train.labels.tolist() + a.validation.labels.tolist())
-        assert joined == [0, 1, 2, 3, 4, 5]
-        plain = load_splits_from_dir(d, 4, 2)
-        assert plain.train.labels.tolist() == [0, 1, 2, 3]
-
     def test_missing_file_reported(self, tmp_path):
         d = write_pair_dir(tmp_path)
         (d / "train-images-idx3-ubyte").unlink()
@@ -232,10 +220,15 @@ class TestLoadSplits:
     def test_load_test_set(self, tmp_path):
         d = write_pair_dir(tmp_path)
         test = load_test_set(d)
-        assert len(test) == 4 and test.split_tag == "test"
+        assert len(test) == 4
         assert len(load_test_set(d, size=3)) == 3
-        with pytest.raises(ValueError, match="out of range"):
-            load_test_set(d, size=99)
+        for load in (lambda size: load_test_set(d, size),
+                     lambda size: load_splits_from_dir(d, 3, 2, size)):
+            with pytest.raises(ValueError, match="test_size 99 exceeds the 4 "
+                                                 "available test examples"):
+                load(99)
+            with pytest.raises(ValueError, match="test_size must be >= 1, got 0"):
+                load(0)
 
 
 class TestSyntheticCorpus:

@@ -6,20 +6,14 @@ from hypothesis import strategies as st
 from resprop.dropout import (
     DropoutMask,
     DropoutSpec,
-    all_ones_mask,
-    apply_mask,
     sample_mask,
 )
 from resprop.network import chain_specs, init_params
 from resprop.tensor import RngStream
 
 
-def make_params(sizes, seed=11, bias_fill=None):
-    params = init_params(chain_specs(sizes), RngStream(seed, 0))
-    if bias_fill is not None:
-        for b in params.biases:
-            b.fill(bias_fill)
-    return params
+def make_params(sizes, seed=11):
+    return init_params(chain_specs(sizes), RngStream(seed, 0))
 
 
 class TestDropoutSpec:
@@ -96,55 +90,6 @@ class TestProductRule:
                 for j in range(wm.shape[1]):
                     expect = node_masks[l][i] * node_masks[l + 1][j]
                     assert wm[i, j] == expect
-
-
-class TestApplyMask:
-    def test_all_ones_is_identity(self):
-        params = make_params((3, 4, 2), bias_fill=0.25)
-        out = apply_mask(params, all_ones_mask(params.specs))
-        for a, b in zip(out.weights + out.biases,
-                        params.weights + params.biases):
-            assert (a == b).all()
-
-    def test_all_zeros_annihilates(self):
-        params = make_params((3, 4, 2), bias_fill=0.25)
-        zeros = DropoutMask([np.zeros(3), np.zeros(4), np.zeros(2)])
-        out = apply_mask(params, zeros)
-        for a in out.weights + out.biases:
-            assert (a == 0.0).all()
-
-    def test_surviving_entries_unchanged_exactly(self):
-        params = make_params((3, 4, 2), bias_fill=0.25)
-        rng = RngStream(7, 0)
-        node_masks = [(rng.uniform(size=n) >= 0.4).astype(float)
-                      for n in (3, 4, 2)]
-        mask = DropoutMask(node_masks)
-        out = apply_mask(params, mask)
-        wmasks = mask.weight_masks(params)
-        for l in range(params.num_layers):
-            live = wmasks[l] == 1.0
-            assert (out.weights[l][live] == params.weights[l][live]).all()
-            assert (out.weights[l][~live] == 0.0).all()
-
-    def test_input_untouched(self):
-        params = make_params((3, 4, 2), bias_fill=0.25)
-        snap = [w.copy() for w in params.weights]
-        zeros = DropoutMask([np.zeros(3), np.zeros(4), np.zeros(2)])
-        apply_mask(params, zeros)
-        for a, b in zip(params.weights, snap):
-            assert (a == b).all()
-
-    def test_idempotent(self):
-        params = make_params((4, 5, 3), bias_fill=0.1)
-        rng = RngStream(9, 0)
-        node_masks = [(rng.uniform(size=n) >= 0.5).astype(float)
-                      for n in (4, 5, 3)]
-        mask = DropoutMask(node_masks)
-        once = apply_mask(params, mask)
-        twice = apply_mask(once, mask)
-        for a, b in zip(twice.weights + twice.biases,
-                        once.weights + once.biases):
-            assert (a == b).all()
 
 
 class TestSampleMask:

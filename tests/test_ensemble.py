@@ -49,11 +49,11 @@ def tagged_dataset(n, seed=0):
 def toy_splits(n_train=48, n_val=24, n_test=24, seed=0):
     rng = np.random.default_rng(seed)
     parts = []
-    for n, tag in ((n_train, "train"), (n_val, "validation"), (n_test, "test")):
+    for n in (n_train, n_val, n_test):
         images = rng.uniform(0.0, 0.3, size=(n, 16))
         labels = rng.integers(10, size=n)
         images[np.arange(n), labels] += 0.6
-        parts.append(Dataset(images, labels, tag))
+        parts.append(Dataset(images, labels))
     return DataSplits(*parts)
 
 

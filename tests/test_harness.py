@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from resprop.data import Dataset, DataSplits
+from resprop.ensemble import StackerSpec
 from resprop.harness import (
     METRICS_HEADER,
     RUNS_HEADER,
@@ -41,11 +42,11 @@ def toy_splits(n_train=48, n_val=24, n_test=24, seed=0):
     """Same easy 16-feature task the training tests use."""
     rng = np.random.default_rng(seed)
     parts = []
-    for n, tag in ((n_train, "train"), (n_val, "validation"), (n_test, "test")):
+    for n in (n_train, n_val, n_test):
         images = rng.uniform(0.0, 0.3, size=(n, 16))
         labels = rng.integers(10, size=n)
         images[np.arange(n), labels] += 0.6
-        parts.append(Dataset(images, labels, tag))
+        parts.append(Dataset(images, labels))
     return DataSplits(*parts)
 
 
@@ -501,7 +502,6 @@ class TestEnsembleConfig:
 
 
 EXPERIMENT_DEFAULT_TEXT = """\
-activation = rectifier
 eta_plus = 1.2
 eta_minus = 0.5
 delta_max = 50.0
@@ -517,6 +517,7 @@ test_size =
 init_scale = uniform-fan-in
 clock = wall
 arch = 784-300-100-10
+activation = rectifier
 optimizer = mod-rprop
 learning_rate = 0.01
 epochs = 30
@@ -525,7 +526,6 @@ out_dir = runs/out
 """
 
 ENSEMBLE_DEFAULT_TEXT = """\
-activation = rectifier
 eta_plus = 1.2
 eta_minus = 0.5
 delta_max = 50.0
@@ -582,12 +582,12 @@ class TestConfigSchema:
 
     def test_ensemble_keys_and_defaults(self):
         assert config_to_text(EnsembleRunConfig()) == ENSEMBLE_DEFAULT_TEXT
-        assert len(text_settings(ENSEMBLE_DEFAULT_TEXT)) == 25
+        assert len(text_settings(ENSEMBLE_DEFAULT_TEXT)) == 24
 
     @pytest.mark.parametrize("cfg", [
         EnsembleRunConfig(),
         EnsembleRunConfig(kind="stacking", size=4, member_sizes=(16, 8, 10),
-                          activation="tanh", member_epochs=2,
+                          member_epochs=2,
                           aggregation="majority-vote", stacker_epochs=7,
                           stacker_hidden=(32, 16), eta_plus=1.1,
                           eta_minus=0.4, delta_max=5.0, delta_min=1e-7,
@@ -607,6 +607,13 @@ class TestConfigSchema:
         with pytest.raises(ValueError,
                            match="ensemble spec line 1: unknown key 'seeds'"):
             parse_ensemble_config("seeds = 1,2\n")
+
+    def test_empty_stacker_hidden_rejected(self):
+        # config text cannot say (): an empty value means the default
+        with pytest.raises(ValueError, match="leave it empty for the "
+                                             "default stacker"):
+            EnsembleRunConfig(kind="stacking", stacker_hidden=())
+        assert StackerSpec((), 5).size_chain(3, 10) == (30, 10)
 
     def test_readme_table_matches_defaults(self):
         train, ensemble = readme_defaults()

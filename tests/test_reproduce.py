@@ -1,0 +1,60 @@
+"""scripts/reproduce.py end to end on a small synthetic corpus."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from resprop.synthetic import write_corpus
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "reproduce", ROOT / "scripts" / "reproduce.py")
+reproduce = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reproduce)
+
+SHARED = ("arch = 784-8-10\nbatch_size = 100\ntrain_size = 200\n"
+          "val_size = 100\nclock = counter\n")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("repro")
+    write_corpus(root / "digits", n_train=300, n_test=100, seed=5)
+    (root / "exp.cfg").write_text(SHARED + "epochs = 1\nseeds = 1,2\n")
+    (root / "ens.cfg").write_text(
+        SHARED + "size = 2\nmember_epochs = 1\nstacker_epochs = 1\n")
+    return root
+
+
+def run(inputs, out, spec="ens.cfg"):
+    return reproduce.main(["--config", str(inputs / "exp.cfg"),
+                           "--spec", str(inputs / spec),
+                           "--data", str(inputs / "digits"), "--out", str(out)])
+
+
+def test_report_is_byte_reproducible(inputs, tmp_path, capsys):
+    assert run(inputs, tmp_path / "a") == 0
+    printed = capsys.readouterr().out
+    assert run(inputs, tmp_path / "b") == 0
+    report = (tmp_path / "a" / "summary.txt").read_bytes()
+    assert report == (tmp_path / "b" / "summary.txt").read_bytes()
+    for opt in ("sgd", "rprop", "mod-rprop"):
+        assert (tmp_path / "a" / opt / "runs.csv").exists()
+    for kind in ("bagging", "stacking"):
+        for seed in (1, 2):
+            assert (tmp_path / "a" / f"{kind}-2" / f"seed{seed}"
+                    / "ensemble.json").exists()
+    text = report.decode()
+    assert "not significant at the 98% confidence level" in text
+    assert "stacking N=2 medians: member" in text
+    assert printed == text
+
+
+def test_unknown_spec_key_exits_2(inputs, tmp_path, capsys):
+    (inputs / "bad.cfg").write_text("arch = 784-8-10\nboost = 1\n")
+    assert run(inputs, tmp_path / "out", spec="bad.cfg") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: ensemble spec line 2: unknown key 'boost'\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()

@@ -13,7 +13,7 @@ from resprop.network import (
     forward,
     init_params,
 )
-from resprop.optimizers import RpropConfig, SgdConfig, init_rprop_state
+from resprop.optimizers import RpropConfig, SgdConfig
 from resprop.tensor import RngStream
 from resprop.training import (
     DivergenceError,
@@ -42,12 +42,12 @@ def toy_splits():
 
 
 def fit(toy_splits, optimizer, cfg, *, seed=7, epochs=4, dropout=None,
-        clock=None, batch=32, state=None):
+        clock=None, batch=32):
     train, val = toy_splits
     params = init_params(chain_specs(SIZES), RngStream(seed, 0))
     return train_model(params, train, val, optimizer, cfg,
                        epoch_cap=epochs, batch_size=batch, seed=seed,
-                       dropout=dropout, clock=clock, state=state)
+                       dropout=dropout, clock=clock)
 
 
 class TestPrediction:
@@ -158,14 +158,6 @@ class TestTrainLoop:
         assert [r.epoch for r in res.rows] == [1, 2, 3, 4, 5]
         assert res.optimizer == "rprop"
 
-    def test_resume_from_state(self, toy_splits):
-        cfg = RpropConfig(delta_init=0.01)
-        full = fit(toy_splits, "rprop", cfg, epochs=2)
-        assert full.final_state is not None
-        resumed = fit(toy_splits, "rprop", cfg, epochs=1,
-                      state=full.final_state)
-        assert resumed.rows[0].val_err >= 0.0
-
     @pytest.mark.parametrize("optimizer,cfg,dropout", [
         ("sgd", SgdConfig(0.1), None),
         ("rprop", RpropConfig(delta_init=0.01), None),
@@ -174,13 +166,10 @@ class TestTrainLoop:
     def test_inputs_left_untouched(self, toy_splits, optimizer, cfg, dropout):
         train, val = toy_splits
         params = init_params(chain_specs(SIZES), RngStream(7, 0))
-        state = None if optimizer == "sgd" else init_rprop_state(params, cfg)
-        arrays = lambda: (params.weights + params.biases + (
-            [] if state is None else
-            state.delta_w + state.delta_b + state.prev_w + state.prev_b))
+        arrays = lambda: params.weights + params.biases
         before = [a.copy() for a in arrays()]
         res = train_model(params, train, val, optimizer, cfg, epoch_cap=2,
-                          batch_size=32, seed=7, dropout=dropout, state=state)
+                          batch_size=32, seed=7, dropout=dropout)
         for a, b in zip(arrays(), before, strict=True):
             assert np.array_equal(a, b)
         assert any((a != b).any() for a, b in
