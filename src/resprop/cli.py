@@ -30,7 +30,7 @@ from .gradcheck import gradient_check
 from .network import chain_specs, init_params, nll_loss
 from .serialization import load_checkpoint
 from .tensor import RngStream
-from .training import DivergenceError, predict_probabilities
+from .training import DivergenceError, error_rate, predict_probabilities
 
 
 def _cmd_train(args) -> int:
@@ -53,7 +53,7 @@ def _cmd_evaluate(args) -> int:
     params, _, _ = load_checkpoint(args.model)
     test = load_test_set(args.data, args.test_size)
     probs = predict_probabilities(params, test)
-    err = float((probs.argmax(axis=1) != test.labels).mean())
+    err = error_rate(probs.argmax(axis=1), test.labels)
     loss = nll_loss(probs, test.labels)
     print("test err %.4f (%.2f%%) on %d examples, mean loss %.6f"
           % (err, 100.0 * err, len(test), loss))

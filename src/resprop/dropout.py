@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import LayerSpec, NetworkParams
+from .network import LayerSpec, NetworkParams, check_mask, node_sizes
 from .tensor import RngStream
 
 
@@ -50,11 +50,6 @@ class DropoutSpec:
         if n_hidden < 0:
             raise ValueError("size chain needs at least input and output")
         return cls((input_rate,) + (hidden_rate,) * n_hidden)
-
-
-def _node_sizes(specs) -> list[int]:
-    specs = list(specs)
-    return [specs[0].fan_in] + [s.fan_out for s in specs]
 
 
 class DropoutMask:
@@ -91,7 +86,7 @@ class DropoutMask:
 
     def weight_masks(self, params: NetworkParams):
         """Weight-space masks congruent with `params` (one per layer)."""
-        self._check_congruent(params)
+        check_mask(params, self)
         return [
             np.outer(self.node_masks[l], self.node_masks[l + 1])
             for l in range(params.num_layers)
@@ -99,22 +94,13 @@ class DropoutMask:
 
     def bias_masks(self, params: NetworkParams):
         """Per-layer bias masks: the mask of the node owning each bias."""
-        self._check_congruent(params)
+        check_mask(params, self)
         return [self.node_masks[l + 1] for l in range(params.num_layers)]
-
-    def _check_congruent(self, params: NetworkParams) -> None:
-        expected = _node_sizes(params.specs)
-        got = [len(m) for m in self.node_masks]
-        if got != expected:
-            raise ValueError(
-                f"mask node layers {got} do not match network node layers "
-                f"{expected}"
-            )
 
 
 def all_ones_mask(specs) -> DropoutMask:
     """Mask that mutes nothing and scales nothing."""
-    return DropoutMask([np.ones(n) for n in _node_sizes(specs)])
+    return DropoutMask([np.ones(n) for n in node_sizes(specs)])
 
 
 def sample_masks(spec: DropoutSpec, architecture, rng: RngStream,
@@ -129,7 +115,7 @@ def sample_masks(spec: DropoutSpec, architecture, rng: RngStream,
     successive `sample_mask` calls. The masks share read-only arrays.
     """
     specs = [s if isinstance(s, LayerSpec) else LayerSpec(*s) for s in architecture]
-    sizes = _node_sizes(specs)
+    sizes = node_sizes(specs)
     if len(spec.rates) != len(sizes) - 1:
         raise ValueError(
             f"dropout spec has {len(spec.rates)} rates but the architecture "

@@ -36,7 +36,8 @@ from .training import (
     STREAM_INIT,
     STREAM_RESAMPLE,
     TrainResult,
-    predict_probabilities,
+    error_rate,
+    networks_probabilities,
     train_model,
 )
 from . import serialization
@@ -169,17 +170,20 @@ class EnsembleModel:
             raise ValueError("stacking ensemble needs a stacker network")
 
     def member_probabilities(self, images) -> list[np.ndarray]:
-        return [predict_probabilities(m, images) for m in self.members]
+        return networks_probabilities(self.members, images)
 
-    def predict(self, images) -> np.ndarray:
-        probs = self.member_probabilities(images)
+    def combine(self, member_probs) -> np.ndarray:
+        """Predicted labels from the members' probability matrices."""
         if self.spec.kind == "bagging":
-            return aggregate(probs, self.spec.aggregation)
-        features = stack_features(probs)
+            return aggregate(member_probs, self.spec.aggregation)
+        features = stack_features(member_probs)
         return np.argmax(probabilities(self.stacker, features), axis=1)
 
+    def predict(self, images) -> np.ndarray:
+        return self.combine(self.member_probabilities(images))
+
     def classification_error(self, data: Dataset) -> float:
-        return float(np.mean(self.predict(data) != data.labels))
+        return error_rate(self.predict(data), data.labels)
 
 
 @dataclass
@@ -238,7 +242,7 @@ def train_ensemble(spec: EnsembleSpec, splits: DataSplits, opt_cfg: RpropConfig,
         chain = stacker_spec.size_chain(spec.size, spec.num_classes)
         init_rng = RngStream(seed, base + STREAM_INIT)
         stacker_params = init_params(chain_specs(chain), init_rng, init_scale)
-        probs = [predict_probabilities(m, splits.validation) for m in members]
+        probs = networks_probabilities(members, splits.validation)
         stack_data = Dataset(stack_features(probs), splits.validation.labels)
         stacker_result = train_model(
             stacker_params, stack_data, stack_data, "mod-rprop", opt_cfg,

@@ -22,7 +22,7 @@ exactly.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,7 +37,7 @@ from .ensemble import (
     save_ensemble,
     train_ensemble,
 )
-from .network import chain_specs, init_params
+from .network import chain_specs, init_params, parse_init_rule
 from .optimizers import RpropConfig, SgdConfig
 from .serialization import save_checkpoint
 from .stats import WilcoxonResult, wilcoxon_signed_rank
@@ -46,9 +46,11 @@ from .training import (
     OPTIMIZER_NAMES,
     STREAM_INIT,
     EpochRow,
+    RunFigures,
     TrainResult,
     classification_error,
     counter_clock,
+    error_rate,
     train_model,
     wall_clock,
 )
@@ -80,7 +82,8 @@ class _RunSettings:
     """The settings experiment and ensemble configs share, with their
     check, clock, data loading and optimizer and dropout builders. Each
     kind extends it with its own fields; `_ARCH` names the kind's
-    size-chain field, which config text keys `arch`."""
+    size-chain field, which config text keys `arch`. A field's type
+    annotation picks the parser of its config value."""
 
     _ARCH = ""
 
@@ -100,9 +103,9 @@ class _RunSettings:
     clock: str = "wall"
 
     @classmethod
-    def _keys(cls) -> dict[str, str]:
-        """Config key -> field name, in field order."""
-        return {"arch" if f.name == cls._ARCH else f.name: f.name
+    def _fields(cls) -> dict[str, Field]:
+        """Config key -> field, in field order."""
+        return {"arch" if f.name == cls._ARCH else f.name: f
                 for f in fields(cls)}
 
     @property
@@ -111,8 +114,9 @@ class _RunSettings:
 
     def _check(self, counts: tuple[str, ...], rates: tuple[str, ...] = ()) -> None:
         """`batch_size` and the kind's `counts` >= 1, both dropout rates
-        and the kind's `rates` in [0, 1), valid split sizes and clock;
-        called once from each config's __post_init__."""
+        and the kind's `rates` in [0, 1), valid split sizes, clock, init
+        rule and optimizer settings; called once from each config's
+        __post_init__."""
         for name in counts + ("batch_size",):
             value = getattr(self, name)
             if value < 1:
@@ -130,6 +134,8 @@ class _RunSettings:
         if self.clock not in CLOCK_NAMES:
             raise ValueError(f"clock must be one of {CLOCK_NAMES}, "
                              f"got {self.clock!r}")
+        parse_init_rule(self.init_scale)
+        self.optimizer_config()
 
     def clock_fn(self):
         return wall_clock if self.clock == "wall" else counter_clock()
@@ -175,8 +181,7 @@ class ExperimentConfig(_RunSettings):
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if len(self.sizes) < 2:
-            raise ValueError("architecture needs at least input and output sizes")
+        self.layer_specs()  # checks the sizes and the activation
         if self.optimizer not in OPTIMIZER_NAMES:
             raise ValueError(
                 f"optimizer must be one of {OPTIMIZER_NAMES}, got {self.optimizer!r}"
@@ -225,6 +230,7 @@ class EnsembleRunConfig(_RunSettings):
         self._check(("size", "member_epochs", "stacker_epochs"),
                     ("stacker_dropout_hidden",))
         self.ensemble_spec()  # checks kind and aggregation
+        chain_specs(self.member_sizes)  # checks the member sizes
 
     def ensemble_spec(self) -> EnsembleSpec:
         return EnsembleSpec(self.kind, self.size, self.member_sizes,
@@ -252,43 +258,25 @@ def _optional(parse):
     return lambda s: parse(s) if s.strip() else None
 
 
-# Config key -> parser of its text value, for every key of either kind.
-_PARSERS = {
-    "arch": parse_size_chain,
-    "eta_plus": float,
-    "eta_minus": float,
-    "delta_max": float,
-    "delta_min": float,
-    "delta_init": float,
-    "batch_size": int,
-    "dropout_input": float,
-    "dropout_hidden": float,
-    "data_dir": str,
-    "train_size": int,
-    "val_size": int,
-    "test_size": _optional(int),
-    "init_scale": str,
-    "clock": str,
-    "out_dir": str,
-    "activation": str,
-    "optimizer": str,
-    "learning_rate": float,
-    "epochs": int,
-    "seeds": lambda s: tuple(int(p) for p in s.split(",") if p.strip()),
-    "kind": str,
-    "size": int,
-    "member_epochs": int,
-    "aggregation": str,
-    "stacker_epochs": int,
-    "stacker_hidden": _optional(lambda s: parse_size_chain(s, 1)),
-    "seed": int,
-    "stacker_dropout_hidden": float,
+# Field type annotation -> parser of its config text value; `seeds`,
+# a comma list, is the one field parsed otherwise.
+_TYPE_PARSERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "Optional[int]": _optional(int),
+    "tuple[int, ...]": parse_size_chain,
+    "Optional[tuple[int, ...]]": _optional(lambda s: parse_size_chain(s, 1)),
 }
+
+
+def _parse_seeds(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.split(",") if p.strip())
 
 
 def _parse_flat(text: str, cls, what: str):
     """A `cls` config from key-value text; errors name `what` and the line."""
-    keys = cls._keys()
+    keys = cls._fields()
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -301,10 +289,12 @@ def _parse_flat(text: str, cls, what: str):
         key = key.strip()
         if key not in keys:
             raise ValueError(f"{what} line {lineno}: unknown key {key!r}")
-        if keys[key] in values:
+        name = keys[key].name
+        if name in values:
             raise ValueError(f"{what} line {lineno}: duplicate key {key!r}")
+        parse = _parse_seeds if name == "seeds" else _TYPE_PARSERS[keys[key].type]
         try:
-            values[keys[key]] = _PARSERS[key](value.strip())
+            values[name] = parse(value.strip())
         except ValueError as exc:
             raise ValueError(
                 f"{what} line {lineno}: bad value for {key!r}: {exc}"
@@ -340,8 +330,8 @@ def _format_value(key: str, value) -> str:
 def config_to_text(cfg: _RunSettings) -> str:
     """Render either kind of config as parseable key-value text (inverse
     of parse)."""
-    return "".join(f"{key} = {_format_value(key, getattr(cfg, name))}\n"
-                   for key, name in cfg._keys().items())
+    return "".join(f"{key} = {_format_value(key, getattr(cfg, f.name))}\n"
+                   for key, f in cfg._fields().items())
 
 
 @dataclass(frozen=True)
@@ -358,47 +348,15 @@ class RunSummary:
 
 
 @dataclass
-class RunRecord:
-    """Full history of one training run plus its selected-model scores."""
+class RunRecord(RunFigures):
+    """One training run: its epoch rows, the epoch `train_model` selected
+    and the selected model's test error; its other figures are read off
+    the rows."""
 
     seed: int
     rows: list[EpochRow]
     best_epoch: int
-    best_val_err: float
     test_err_at_best: float
-    first_epoch_val_err: float
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("a run record needs at least one epoch row")
-        errs = [r.val_err for r in self.rows]
-        lowest = min(errs)
-        if self.best_val_err != lowest:
-            raise ValueError(
-                f"best_val_err {self.best_val_err} is not the row minimum {lowest}"
-            )
-        earliest = self.rows[errs.index(lowest)].epoch
-        if self.best_epoch != earliest:
-            raise ValueError(
-                f"best_epoch {self.best_epoch} is not the earliest minimum "
-                f"epoch {earliest}"
-            )
-        if self.first_epoch_val_err != self.rows[0].val_err:
-            raise ValueError("first_epoch_val_err does not match row 1")
-
-    @classmethod
-    def from_result(cls, result: TrainResult, test_err: float,
-                    seed: int) -> "RunRecord":
-        return cls(seed, list(result.rows), result.best_epoch,
-                   result.best_val_err, test_err, result.first_epoch_val_err)
-
-    @property
-    def time_to_best_ms(self) -> float:
-        return next(r.elapsed_ms for r in self.rows if r.epoch == self.best_epoch)
-
-    @property
-    def total_ms(self) -> float:
-        return self.rows[-1].elapsed_ms
 
     def summary(self) -> RunSummary:
         return RunSummary(self.seed, self.best_epoch, self.best_val_err,
@@ -407,23 +365,18 @@ class RunRecord:
 
 
 def train_run(cfg: ExperimentConfig, seed: int,
-              splits: Optional[DataSplits] = None,
-              clock=None) -> tuple[RunRecord, TrainResult]:
+              splits: DataSplits) -> tuple[RunRecord, TrainResult]:
     """One seeded run: init, train, select, score on the test set."""
-    if splits is None:
-        splits = cfg.load_data()
-    if clock is None:
-        clock = cfg.clock_fn()
     init_rng = RngStream(seed, STREAM_INIT)
     params = init_params(cfg.layer_specs(), init_rng, cfg.init_scale)
     result = train_model(
         params, splits.train, splits.validation, cfg.optimizer,
         cfg.optimizer_config(), epoch_cap=cfg.epochs,
         batch_size=cfg.batch_size, seed=seed, dropout=cfg.dropout_spec(),
-        clock=clock,
+        clock=cfg.clock_fn(),
     )
     test_err = classification_error(result.best_params, splits.test)
-    return RunRecord.from_result(result, test_err, seed), result
+    return RunRecord(seed, list(result.rows), result.best_epoch, test_err), result
 
 
 def export_metrics(record: RunRecord) -> str:
@@ -514,11 +467,11 @@ def run_experiment(cfg: ExperimentConfig, splits: Optional[DataSplits] = None,
                    save: bool = True, label: str = "model") -> ExperimentResult:
     """Run every seed in the config; optionally write the artifact set."""
     splits = cfg.splits_for(splits)
-    opt_cfg = cfg.optimizer_config()  # checks the optimizer settings
     out = Path(cfg.out_dir)
     if save:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.txt").write_text(config_to_text(cfg))
+    rprop_cfg = None if cfg.optimizer == "sgd" else cfg.optimizer_config()
     records = []
     for seed in cfg.seeds:
         record, result = train_run(cfg, seed, splits)
@@ -527,8 +480,7 @@ def run_experiment(cfg: ExperimentConfig, splits: Optional[DataSplits] = None,
             (out / f"metrics-seed{seed}.csv").write_text(export_metrics(record))
             save_checkpoint(out / f"model-seed{seed}.ckpt", result.best_params)
             save_checkpoint(out / f"final-seed{seed}.ckpt", result.final_params,
-                            state=result.final_state,
-                            cfg=opt_cfg if isinstance(opt_cfg, RpropConfig) else None)
+                            state=result.final_state, cfg=rprop_cfg)
     exp = ExperimentResult(cfg, records)
     if save:
         (out / "runs.csv").write_text(export_runs_csv(exp.summaries()))
@@ -624,9 +576,10 @@ def run_ensemble(cfg: EnsembleRunConfig, splits: Optional[DataSplits] = None,
         stacker_spec=cfg.stacker_spec(), stacker_dropout=cfg.stacker_dropout(),
         init_scale=cfg.init_scale, clock=cfg.clock_fn(),
     )
-    member_errs = [classification_error(m, splits.test)
-                   for m in training.model.members]
-    ens_err = training.model.classification_error(splits.test)
+    model, test = training.model, splits.test
+    probs = model.member_probabilities(test)  # scored once, for both errors
+    member_errs = [error_rate(np.argmax(p, axis=1), test.labels) for p in probs]
+    ens_err = error_rate(model.combine(probs), test.labels)
     out = EnsembleRunOutput(cfg, training, member_errs, ens_err)
     if save:
         out_dir = Path(cfg.out_dir)

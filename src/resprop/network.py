@@ -168,6 +168,22 @@ class Gradients:
     biases: list[np.ndarray]
 
 
+def parse_init_rule(scale_rule: str):
+    """The weight range of `scale_rule` as a function of fan_in:
+    1/sqrt(fan_in) for "uniform-fan-in", R for "fixed-range:R"."""
+    if scale_rule == "uniform-fan-in":
+        return lambda fan_in: 1.0 / np.sqrt(fan_in)
+    if scale_rule.startswith("fixed-range:"):
+        r = float(scale_rule.split(":", 1)[1])
+        if r < 0:
+            raise ValueError(f"fixed-range needs a non-negative range, got {r}")
+        return lambda fan_in: r
+    raise ValueError(
+        f"unknown scale_rule {scale_rule!r}; "
+        "expected 'uniform-fan-in' or 'fixed-range:R'"
+    )
+
+
 def init_params(specs, rng, scale_rule: str = "uniform-fan-in") -> NetworkParams:
     """Fresh parameters: weights per `scale_rule`, biases zero.
 
@@ -178,19 +194,10 @@ def init_params(specs, rng, scale_rule: str = "uniform-fan-in") -> NetworkParams
     """
     specs = list(specs)
     _check_chain(specs)
+    weight_range = parse_init_rule(scale_rule)
     weights, biases = [], []
     for spec in specs:
-        if scale_rule == "uniform-fan-in":
-            r = 1.0 / np.sqrt(spec.fan_in)
-        elif scale_rule.startswith("fixed-range:"):
-            r = float(scale_rule.split(":", 1)[1])
-            if r < 0:
-                raise ValueError(f"fixed-range needs a non-negative range, got {r}")
-        else:
-            raise ValueError(
-                f"unknown scale_rule {scale_rule!r}; "
-                "expected 'uniform-fan-in' or 'fixed-range:R'"
-            )
+        r = weight_range(spec.fan_in)
         weights.append(rng.uniform(-r, r, size=(spec.fan_in, spec.fan_out)))
         biases.append(np.zeros(spec.fan_out))
     return NetworkParams(tuple(specs), weights, biases)
@@ -224,12 +231,18 @@ class ForwardPass:
         return self.probabilities.shape[0]
 
 
-def _check_mask(params: NetworkParams, mask) -> None:
-    node_sizes = [params.specs[0].fan_in] + [s.fan_out for s in params.specs]
-    got = [len(m) for m in mask.node_masks]
-    if got != node_sizes:
+def node_sizes(specs) -> list[int]:
+    """Nodes per node layer of a layer chain, input layer first."""
+    specs = list(specs)
+    return [specs[0].fan_in] + [s.fan_out for s in specs]
+
+
+def check_mask(params: NetworkParams, mask) -> None:
+    """Rejects a dropout mask whose node layers do not match `params`."""
+    want, got = node_sizes(params.specs), [len(m) for m in mask.node_masks]
+    if got != want:
         raise ValueError(
-            f"mask node layers {got} do not match network node layers {node_sizes}"
+            f"mask node layers {got} do not match network node layers {want}"
         )
 
 
@@ -292,7 +305,7 @@ def forward(params: NetworkParams, x: np.ndarray, mask=None) -> ForwardPass:
     """
     x = _check_input(params, x)
     if mask is not None:
-        _check_mask(params, mask)
+        check_mask(params, mask)
     factor = _node_factor(mask, 0)
     a = x if factor is None else x * factor
     layer_inputs, pre_activations = [a], []

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dropout import DropoutMask
-from .network import Gradients, NetworkParams
+from .network import Gradients, NetworkParams, check_mask
 
 logger = logging.getLogger(__name__)
 
@@ -364,7 +364,7 @@ def _rprop(params, grads, state, cfg, mask, out):
     if mask is None:
         lives = [None] * len(ws)
     else:
-        mask.bias_masks(params)  # rejects a mask of the wrong node layout
+        check_mask(params, mask)
         nodes = [m != 0.0 for m in mask.node_masks]
         one_row = np.ones(1, dtype=bool)
         lives = ([_live(nodes[l], nodes[l + 1]) for l in range(params.num_layers)]
@@ -402,21 +402,7 @@ def dropout_rprop_step(params: NetworkParams, grads: Gradients, state: RpropStat
 
 
 def _check_state(params: NetworkParams, state: RpropState) -> None:
-    counts = {len(a) for a in (state.delta_w, state.delta_b, state.prev_w, state.prev_b)}
-    if counts != {params.num_layers}:
-        raise ValueError(
-            f"optimizer state covers {sorted(counts)} layers of a "
-            f"{params.num_layers}-layer network"
-        )
-    for l, (w, d, p) in enumerate(zip(params.weights, state.delta_w, state.prev_w)):
-        if d.shape != w.shape or p.shape != w.shape:
-            raise ValueError(
-                f"optimizer state shapes {d.shape}/{p.shape} do not match "
-                f"weights {w.shape} at layer {l}"
-            )
-    for l, (b, d, p) in enumerate(zip(params.biases, state.delta_b, state.prev_b)):
-        if d.shape != b.shape or p.shape != b.shape:
-            raise ValueError(
-                f"optimizer state shapes {d.shape}/{p.shape} do not match "
-                f"biases {b.shape} at layer {l}"
-            )
+    _check_congruent(params, Gradients(state.delta_w, state.delta_b),
+                     "optimizer step sizes")
+    _check_congruent(params, Gradients(state.prev_w, state.prev_b),
+                     "optimizer stored gradients")

@@ -100,33 +100,60 @@ class EpochRow:
     elapsed_ms: float
 
 
-@dataclass
-class TrainResult:
-    """Everything `train_model` learned: history plus selected model."""
+class RunFigures:
+    """A run's figures, read off its epoch `rows` and the `best_epoch`
+    it selected: the only two things a run stores about its history."""
 
-    rows: list[EpochRow]
-    best_epoch: int
-    best_val_err: float
-    best_params: NetworkParams
-    final_params: NetworkParams
-    final_state: Optional[RpropState]
-    optimizer: str
+    def _best_row(self) -> EpochRow:
+        return next(r for r in self.rows if r.epoch == self.best_epoch)
+
+    @property
+    def best_val_err(self) -> float:
+        return self._best_row().val_err
 
     @property
     def first_epoch_val_err(self) -> float:
         return self.rows[0].val_err
 
+    @property
+    def time_to_best_ms(self) -> float:
+        return self._best_row().elapsed_ms
+
+    @property
+    def total_ms(self) -> float:
+        return self.rows[-1].elapsed_ms
+
+
+@dataclass
+class TrainResult(RunFigures):
+    """Everything `train_model` learned: history plus selected model."""
+
+    rows: list[EpochRow]
+    best_epoch: int
+    best_params: NetworkParams
+    final_params: NetworkParams
+    final_state: Optional[RpropState]
+    optimizer: str
+
+
+def networks_probabilities(networks, images,
+                           batch_size: int = EVAL_BATCH) -> list[np.ndarray]:
+    """Each network's class probabilities for every row of an array or a
+    Dataset, by slices; each slice is converted once for all networks."""
+    rows = (images.batch if isinstance(images, Dataset)
+            else np.asarray(images, dtype=np.float64).__getitem__)
+    outs = [np.empty((len(images), p.num_classes)) for p in networks]
+    for lo in range(0, len(images), batch_size):
+        x = rows(slice(lo, lo + batch_size))
+        for params, out in zip(networks, outs):
+            out[lo:lo + batch_size] = probabilities(params, x)
+    return outs
+
 
 def predict_probabilities(params: NetworkParams, images,
                           batch_size: int = EVAL_BATCH) -> np.ndarray:
     """Class probabilities for every row of an array or a Dataset, by slices."""
-    rows = (images.batch if isinstance(images, Dataset)
-            else np.asarray(images, dtype=np.float64).__getitem__)
-    out = np.empty((len(images), params.num_classes))
-    for lo in range(0, len(images), batch_size):
-        out[lo:lo + batch_size] = probabilities(
-            params, rows(slice(lo, lo + batch_size)))
-    return out
+    return networks_probabilities([params], images, batch_size)[0]
 
 
 def predict_labels(params: NetworkParams, images,
@@ -134,13 +161,17 @@ def predict_labels(params: NetworkParams, images,
     return np.argmax(predict_probabilities(params, images, batch_size), axis=1)
 
 
+def error_rate(predicted: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of `predicted` labels that miss `labels`."""
+    return float(np.mean(predicted != labels))
+
+
 def classification_error(params: NetworkParams, data: Dataset,
                          batch_size: int = EVAL_BATCH) -> float:
     """Fraction of examples whose argmax prediction misses the label."""
     if len(data) == 0:
         raise ValueError("cannot score an empty dataset")
-    predicted = predict_labels(params, data, batch_size)
-    return float(np.mean(predicted != data.labels))
+    return error_rate(predict_labels(params, data, batch_size), data.labels)
 
 
 def _training_masks(dropout: DropoutSpec, specs, rng: RngStream, steps: int):
@@ -167,17 +198,13 @@ def _check_rows(rows, n: int) -> np.ndarray:
 
 def _optimizer_transition(optimizer, opt_cfg, ones_mask):
     """Returns step(params, grads, state, mask) -> (params, state), which
-    steps params and state in place."""
+    steps params and state in place; `train_model` checked `optimizer`."""
     if optimizer == "sgd":
         return lambda p, g, s, m: (sgd_step(p, g, opt_cfg, out=p), None)
     if optimizer == "rprop":
         return lambda p, g, s, m: rprop_step(p, g, s, opt_cfg, out=(p, s))
-    if optimizer == "mod-rprop":
-        return lambda p, g, s, m: dropout_rprop_step(
-            p, g, s, opt_cfg, m if m is not None else ones_mask, out=(p, s))
-    raise ValueError(
-        f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_NAMES}"
-    )
+    return lambda p, g, s, m: dropout_rprop_step(
+        p, g, s, opt_cfg, m if m is not None else ones_mask, out=(p, s))
 
 
 def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
@@ -268,5 +295,5 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
             best_err = val_err
             best_epoch = epoch
             best_params = params.copy()
-    return TrainResult(history, best_epoch, float(best_err), best_params,
-                       params, state, optimizer)
+    return TrainResult(history, best_epoch, best_params, params, state,
+                       optimizer)

@@ -75,6 +75,11 @@ class TestTrain:
         ("seeds = 1,1", "seeds must be distinct, got (1, 1)"),
         ("arch = 10-10", "arch input width 10 does not match the data's 784 "
                          "values per example"),
+        ("activation = foo", "unknown activation 'foo'; expected one of "
+                             "('rectifier', 'logistic', 'tanh', 'identity')"),
+        ("init_scale = bogus", "unknown scale_rule 'bogus'; expected "
+                               "'uniform-fan-in' or 'fixed-range:R'"),
+        ("arch = 784-0-10", "layer dims must be >= 1, got 784x0"),
     ])
     def test_empty_split_exits_2_before_any_output(self, config_path, tmp_path,
                                                    capsys, line, message):
@@ -218,6 +223,9 @@ class TestEnsemble:
          "stacker_dropout_hidden must lie in [0, 1), got 1.5"),
         ("arch = 10-10", "arch input width 10 does not match the data's 784 "
                          "values per example"),
+        ("init_scale = bogus", "unknown scale_rule 'bogus'; expected "
+                               "'uniform-fan-in' or 'fixed-range:R'"),
+        ("arch = 784-0-10", "layer dims must be >= 1, got 784x0"),
     ])
     def test_bad_setting_exits_2_before_any_output(self, corpus_dir, tmp_path,
                                                    capsys, line, message):

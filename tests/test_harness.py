@@ -204,35 +204,19 @@ def make_rows(val_errs, losses=None):
 class TestRunRecord:
     def test_valid_record_and_derived_times(self):
         rec = RunRecord(seed=3, rows=make_rows([0.5, 0.2, 0.3]),
-                        best_epoch=2, best_val_err=0.2,
-                        test_err_at_best=0.25, first_epoch_val_err=0.5)
+                        best_epoch=2, test_err_at_best=0.25)
+        assert rec.best_val_err == 0.2
+        assert rec.first_epoch_val_err == 0.5
         assert rec.time_to_best_ms == 2000.0
         assert rec.total_ms == 3000.0
         s = rec.summary()
         assert s == RunSummary(3, 2, 0.2, 0.25, 0.5, 2000.0, 3000.0)
 
-    def test_empty_rows_rejected(self):
-        with pytest.raises(ValueError, match="at least one epoch row"):
-            RunRecord(1, [], 1, 0.1, 0.1, 0.1)
-
-    def test_best_must_be_row_minimum(self):
-        with pytest.raises(ValueError, match="not the row minimum"):
-            RunRecord(1, make_rows([0.5, 0.2]), 1, 0.5, 0.2, 0.5)
-
-    def test_best_epoch_must_be_earliest_minimum(self):
-        with pytest.raises(ValueError, match="earliest minimum"):
-            RunRecord(1, make_rows([0.5, 0.2, 0.2]), 3, 0.2, 0.2, 0.5)
-
-    def test_first_epoch_err_must_match(self):
-        with pytest.raises(ValueError, match="does not match row 1"):
-            RunRecord(1, make_rows([0.5, 0.2]), 2, 0.2, 0.2, 0.4)
-
 
 class TestMetricsCsv:
     def test_exact_format(self):
         rec = RunRecord(1, [EpochRow(1, 0.5, 0.030303, 12.3456),
-                            EpochRow(2, 0.25, 0.02, 100.0)],
-                        2, 0.02, 0.02, 0.030303)
+                            EpochRow(2, 0.25, 0.02, 100.0)], 2, 0.02)
         text = export_metrics(rec)
         assert text == ("epoch,train_loss,val_err,elapsed_ms\n"
                         "1,0.5,0.0303,12.346\n"
@@ -240,13 +224,13 @@ class TestMetricsCsv:
 
     def test_loss_survives_round_trip_exactly(self):
         loss = 1.0 / 3.0
-        rec = RunRecord(1, [EpochRow(1, loss, 0.1, 1.0)], 1, 0.1, 0.1, 0.1)
+        rec = RunRecord(1, [EpochRow(1, loss, 0.1, 1.0)], 1, 0.1)
         back = parse_metrics(export_metrics(rec))
         assert back[0].train_loss == loss
         assert back[0].epoch == 1 and back[0].elapsed_ms == 1.0
 
     def test_single_epoch_gives_two_lines(self):
-        rec = RunRecord(1, make_rows([0.5]), 1, 0.5, 0.5, 0.5)
+        rec = RunRecord(1, make_rows([0.5]), 1, 0.5)
         assert len(export_metrics(rec).splitlines()) == 2
 
     def test_header_enforced(self):
