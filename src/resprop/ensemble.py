@@ -284,7 +284,7 @@ def save_ensemble(out_dir, training: EnsembleTraining, *, seed: int) -> Path:
         "stacker_checkpoint": stacker_file,
     }
     path = out_dir / MANIFEST_NAME
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    serialization.write_atomic(path, json.dumps(manifest, indent=2).encode() + b"\n")
     return path
 
 

@@ -231,6 +231,9 @@ class EnsembleRunConfig(_RunSettings):
                     ("stacker_dropout_hidden",))
         self.ensemble_spec()  # checks kind and aggregation
         chain_specs(self.member_sizes)  # checks the member sizes
+        if self.kind == "stacking":
+            chain_specs(self.stacker_spec().size_chain(
+                self.size, self.member_sizes[-1]))
 
     def ensemble_spec(self) -> EnsembleSpec:
         return EnsembleSpec(self.kind, self.size, self.member_sizes,

@@ -20,11 +20,12 @@ full network uses the weights as-is. Gradients of weights incident to a
 masked node are exactly zero.
 
 `forward` and the cache-free `probabilities` share one layer loop and
-give identical bits. Both work in place on arrays they made and never
-write the input; `forward` puts each cached activation in a new array,
-`probabilities` overwrites each layer's matmul output. Multiplications
-that are exactly the identity (an all-live node layer at scale 1, the
-identity activation's derivative) are skipped, in `backward` too.
+give identical bits. Both overwrite each layer's matmul output with its
+activation, and the last with the softmax, and never write the input.
+`forward` caches each layer's input and derivative factor (a bool array
+for the rectifier), never a pre-activation. Multiplications that are
+exactly the identity (an all-live node layer at scale 1, the identity
+activation's derivative) are skipped, in `backward` too.
 """
 
 from __future__ import annotations
@@ -38,34 +39,23 @@ ACTIVATIONS = ("rectifier", "logistic", "tanh", "identity")
 LOSS_PROB_FLOOR = 1e-300
 
 
-# Each activation is (act(z, out), scale_by_deriv(d, z)). `act` writes
-# into `out` when given (it may be z itself) and otherwise into a new
-# array; `scale_by_deriv` multiplies d in place by the derivative at z.
-def _logistic(z, out=None):
+# Each activation is (act(z), factor(a)): `act` overwrites z with a and
+# returns it; `factor` gives the derivative at z as a new array, or is
+# None for identity, where d * 1.0 is d exactly and `backward` skips it.
+def _logistic(z):
     pos = z >= 0
     neg = ~pos
-    ez = np.exp(z[neg])  # read before `out`, which may be z, is written
-    out = np.empty_like(z) if out is None else out
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    out[neg] = ez / (1.0 + ez)
-    return out
-
-
-def _logistic_deriv(z):
-    s = _logistic(z)
-    return s * (1.0 - s)
+    ez = np.exp(z[neg])  # read before z is written
+    z[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    z[neg] = ez / (1.0 + ez)
+    return z
 
 
 _ACT = {
-    "rectifier": (lambda z, out: np.maximum(z, 0.0, out=out),
-                  lambda d, z: np.multiply(d, z > 0.0, out=d)),
-    "logistic": (_logistic,
-                 lambda d, z: np.multiply(d, _logistic_deriv(z), out=d)),
-    "tanh": (lambda z, out: np.tanh(z, out=out),
-             lambda d, z: np.multiply(d, 1.0 - np.tanh(z) ** 2, out=d)),
-    # d * 1.0 is d exactly, so the identity derivative is skipped
-    "identity": (lambda z, out: z if out is not None else z.copy(),
-                 lambda d, z: d),
+    "rectifier": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0.0),
+    "logistic": (_logistic, lambda a: a * (1.0 - a)),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a ** 2),
+    "identity": (lambda z: z, None),
 }
 
 
@@ -218,12 +208,12 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass
 class ForwardPass:
-    """Cached activations from one `forward` call, consumed by `backward`."""
+    """One `forward` call's layer inputs and derivative factors."""
 
     params: NetworkParams = field(repr=False)
     mask: object = field(repr=False)
     layer_inputs: list[np.ndarray] = field(repr=False)
-    pre_activations: list[np.ndarray] = field(repr=False)
+    derivatives: list[np.ndarray | None] = field(repr=False)
     probabilities: np.ndarray = field(repr=False)
 
     @property
@@ -267,29 +257,28 @@ def _node_factor(mask, layer: int):
 
 
 def _layers(params: NetworkParams, a: np.ndarray, mask=None,
-            layer_inputs=None, pre_activations=None) -> np.ndarray:
+            layer_inputs=None, derivatives=None) -> np.ndarray:
     """Class probabilities of batch `a`: the layer loop of `forward`
-    and `probabilities`. `a` itself is never written.
-
-    With cache lists, each pre-activation is appended to
-    `pre_activations` and each activation goes into a new array that
-    is appended to `layer_inputs`. Without them, each layer's
+    and `probabilities`. `a` itself is never written; each layer's
     activation and the softmax overwrite that layer's matmul output.
+
+    With cache lists, each activation's derivative factor is appended to
+    `derivatives` and each masked activation to `layer_inputs`.
     """
-    keep = layer_inputs is not None
     last = params.num_layers - 1
     for l, (spec, w, b) in enumerate(zip(params.specs, params.weights,
                                          params.biases)):
-        z = a @ w
-        z += b
-        a = _ACT[spec.activation][0](z, None if keep else z)
-        if keep:
-            pre_activations.append(z)
+        a = a @ w
+        a += b
+        act, deriv = _ACT[spec.activation]
+        a = act(a)
+        if derivatives is not None:
+            derivatives.append(None if deriv is None else deriv(a))
         if l < last:
             factor = _node_factor(mask, l + 1)
             if factor is not None:
                 a *= factor
-            if keep:
+            if layer_inputs is not None:
                 layer_inputs.append(a)
     return softmax(a, out=a)
 
@@ -308,9 +297,9 @@ def forward(params: NetworkParams, x: np.ndarray, mask=None) -> ForwardPass:
         check_mask(params, mask)
     factor = _node_factor(mask, 0)
     a = x if factor is None else x * factor
-    layer_inputs, pre_activations = [a], []
-    probs = _layers(params, a, mask, layer_inputs, pre_activations)
-    return ForwardPass(params, mask, layer_inputs, pre_activations, probs)
+    layer_inputs, derivatives = [a], []
+    probs = _layers(params, a, mask, layer_inputs, derivatives)
+    return ForwardPass(params, mask, layer_inputs, derivatives, probs)
 
 
 def probabilities(params: NetworkParams, x: np.ndarray) -> np.ndarray:
@@ -367,7 +356,8 @@ def backward(params: NetworkParams, cache: ForwardPass, labels: np.ndarray,
     grads_w: list[np.ndarray] = [None] * n_layers
     grads_b: list[np.ndarray] = [None] * n_layers
     for l in range(n_layers - 1, -1, -1):
-        _ACT[params.specs[l].activation][1](dz, cache.pre_activations[l])
+        if cache.derivatives[l] is not None:
+            dz *= cache.derivatives[l]
         grads_w[l] = cache.layer_inputs[l].T @ dz
         grads_b[l] = dz.sum(axis=0)
         if l > 0:

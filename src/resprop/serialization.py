@@ -30,6 +30,7 @@ sections stay loadable.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -80,6 +81,17 @@ def _section(tag: str, payload: bytes) -> bytes:
     return tag.encode("ascii").ljust(8) + struct.pack("<Q", len(payload)) + payload
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `<path>.tmp`, then rename it to `path`, so an
+    interrupted write leaves any earlier file at `path` whole."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path, params: NetworkParams,
                     state: RpropState | None = None,
                     cfg: RpropConfig | None = None) -> None:
@@ -97,7 +109,7 @@ def save_checkpoint(path, params: NetworkParams,
                          cfg.delta_min, cfg.delta_init)
         sections.append(_section("rprophp", hp))
     head.append(struct.pack("<I", len(sections)))
-    Path(path).write_bytes(b"".join(head) + b"".join(sections))
+    write_atomic(path, b"".join(head) + b"".join(sections))
 
 
 def _read(fmt: str, data: bytes, offset: int, what: str) -> tuple:

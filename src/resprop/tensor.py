@@ -66,20 +66,11 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self._seed = int(seed) & _MASK64
-        self._stream_id = int(stream_id) & _MASK64
-        h = _mix64(self._seed ^ _GOLDEN_GAMMA)
-        self._state = _mix64(h ^ ((self._stream_id * _GOLDEN_GAMMA) & _MASK64))
-        self._gamma = _mix64((h + self._stream_id * _STREAM_MULT) & _MASK64) | 1
+        seed, stream_id = int(seed) & _MASK64, int(stream_id) & _MASK64
+        h = _mix64(seed ^ _GOLDEN_GAMMA)
+        self._state = _mix64(h ^ ((stream_id * _GOLDEN_GAMMA) & _MASK64))
+        self._gamma = _mix64((h + stream_id * _STREAM_MULT) & _MASK64) | 1
         self._position = 0
-
-    @property
-    def seed(self) -> int:
-        return self._seed
-
-    @property
-    def stream_id(self) -> int:
-        return self._stream_id
 
     @property
     def position(self) -> int:

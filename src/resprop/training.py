@@ -76,6 +76,9 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
         self.loss = loss
 
+    def __reduce__(self):
+        return type(self), (self.epoch, self.loss)
+
 
 def wall_clock() -> float:
     return time.perf_counter()

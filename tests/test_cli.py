@@ -226,6 +226,8 @@ class TestEnsemble:
         ("init_scale = bogus", "unknown scale_rule 'bogus'; expected "
                                "'uniform-fan-in' or 'fixed-range:R'"),
         ("arch = 784-0-10", "layer dims must be >= 1, got 784x0"),
+        ("kind = stacking\nstacker_hidden = 20-0",
+         "layer dims must be >= 1, got 20x0"),
     ])
     def test_bad_setting_exits_2_before_any_output(self, corpus_dir, tmp_path,
                                                    capsys, line, message):
@@ -233,8 +235,9 @@ class TestEnsemble:
                     "member_epochs": "1", "batch_size": "32",
                     "data_dir": str(corpus_dir), "train_size": "200",
                     "val_size": "60", "test_size": "60"}
-        key, _, value = line.partition(" = ")
-        settings[key] = value
+        for setting in line.split("\n"):
+            key, _, value = setting.partition(" = ")
+            settings[key] = value
         spec = tmp_path / "bad.cfg"
         spec.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
         out = tmp_path / "ens"

@@ -34,6 +34,7 @@ from resprop.training import (
     predict_probabilities,
     train_model,
 )
+from test_serialization import fail_mid_write
 
 
 def tagged_dataset(n, seed=0):
@@ -378,6 +379,19 @@ class TestSaveLoad:
         assert model.stacker is not None
         assert np.array_equal(model.predict(splits.test.images),
                               t.model.predict(splits.test.images))
+
+    def test_interrupted_manifest_save_keeps_the_earlier_one(self, tmp_path,
+                                                              monkeypatch):
+        t = train_ensemble(bagging_spec(size=1, epochs=1), toy_splits(),
+                           RpropConfig(), seed=3, batch_size=8)
+        path = save_ensemble(tmp_path, t, seed=3)
+        before = path.read_bytes()
+        fail_mid_write(monkeypatch, MANIFEST_NAME + ".tmp")
+        with pytest.raises(OSError, match="No space"):
+            save_ensemble(tmp_path, t, seed=4)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            MANIFEST_NAME, "member-00.ckpt"]
 
     @pytest.mark.parametrize("key", ["kind", "size", "member_sizes",
                                      "member_epoch_cap", "aggregation",

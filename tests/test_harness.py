@@ -452,6 +452,10 @@ class TestEnsembleConfig:
         cfg = parse_ensemble_config("kind = stacking\nstacker_hidden = 32-16\n")
         assert cfg.stacker_spec().hidden_sizes == (32, 16)
 
+    def test_stacker_chain_checked_when_read(self):
+        with pytest.raises(ValueError, match="got 20x0"):
+            parse_ensemble_config("kind = stacking\nstacker_hidden = 20-0\n")
+
     def test_unknown_key_names_the_file_kind(self):
         with pytest.raises(ValueError, match="ensemble spec line 1"):
             parse_ensemble_config("members = 3\n")

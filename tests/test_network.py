@@ -199,8 +199,9 @@ class TestForward:
         mask = DropoutMask([np.array([1.0, 0.0]), np.array([1.0])],
                            scales=[2.0, 1.0])
         out = forward(params, np.array([[3.0, 5.0]]), mask)
-        # input node 1 muted, node 0 scaled by 2 -> logit 6; single class
-        assert out.pre_activations[0][0, 0] == 6.0
+        # input node 1 muted, node 0 scaled by 2; single class
+        assert out.layer_inputs[0].tolist() == [[6.0, 0.0]]
+        assert out.probabilities.tolist() == [[1.0]]
 
 
 class TestBackward:

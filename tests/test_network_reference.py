@@ -6,6 +6,8 @@ draws replaced. The arithmetic order is unchanged, so every result must
 match byte for byte, signed zeros included.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from resprop import training
 from resprop.data import Dataset
 from resprop.dropout import DropoutMask, DropoutSpec, sample_mask, sample_masks
 from resprop.network import (
-    ForwardPass,
     Gradients,
     LayerSpec,
     NetworkParams,
@@ -53,6 +54,20 @@ REF_ACT = {
 }
 
 
+class ReferencePass(NamedTuple):
+    """What `reference_forward` computes, pre-activations included."""
+
+    params: NetworkParams
+    mask: object
+    layer_inputs: list
+    pre_activations: list
+    probabilities: np.ndarray
+
+    @property
+    def batch_size(self):
+        return self.probabilities.shape[0]
+
+
 def reference_softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -80,7 +95,7 @@ def reference_forward(params, x, mask=None):
             layer_inputs.append(a)
         else:
             probs = reference_softmax(h)
-    return ForwardPass(params, mask, layer_inputs, pre_activations, probs)
+    return ReferencePass(params, mask, layer_inputs, pre_activations, probs)
 
 
 def reference_backward(params, cache, labels):
@@ -187,7 +202,27 @@ def random_mask(rng, widths, kind):
 
 
 def cache_arrays(cache):
-    return cache.layer_inputs + cache.pre_activations + [cache.probabilities]
+    return cache.layer_inputs + [cache.probabilities]
+
+
+def forward_arrays(cache):
+    """Every array a `forward` result holds."""
+    return cache_arrays(cache) + [d for d in cache.derivatives if d is not None]
+
+
+def assert_same_derivatives(got, want):
+    """Each cached factor is REF_ACT's derivative of the reference
+    pre-activation: bool for the rectifier, absent for identity."""
+    assert len(got.derivatives) == len(want.pre_activations)
+    for spec, d, z in zip(got.params.specs, got.derivatives,
+                          want.pre_activations):
+        if spec.activation == "identity":
+            assert d is None
+            continue
+        if spec.activation == "rectifier":
+            assert d.dtype == np.bool_
+            d = d.astype(np.float64)
+        assert same_bytes(d, REF_ACT[spec.activation][1](z))
 
 
 net_cases = st.fixed_dictionaries({
@@ -217,6 +252,7 @@ class TestPassesMatchReference:
         want = reference_forward(params, x, mask)
         got = forward(params, x, mask)
         assert_same_arrays(cache_arrays(got), cache_arrays(want))
+        assert_same_derivatives(got, want)
 
         want_g = reference_backward(params, want, labels)
         got_g = backward(params, got, labels, mask)
@@ -243,11 +279,12 @@ class TestPassesMatchReference:
         want = reference_forward(params, x)
         got = forward(params, x)
         assert_same_arrays(cache_arrays(got), cache_arrays(want))
+        assert_same_derivatives(got, want)
         assert same_bytes(probabilities(params, x), want.probabilities)
         assert_same_arrays(backward(params, got, labels).weights,
                            reference_backward(params, want, labels).weights)
 
-    def test_identity_hidden_layer_under_a_mask_keeps_its_pre_activation(self):
+    def test_identity_hidden_layer_under_a_mask(self):
         rng = RngStream(8, 0)
         specs = (LayerSpec(3, 4, "identity"), LayerSpec(4, 2, "identity"))
         params = NetworkParams(specs, [rng.uniform(-1, 1, size=(3, 4)),
@@ -256,10 +293,27 @@ class TestPassesMatchReference:
         mask = DropoutMask([np.ones(3), np.array([1.0, 0.0, 1.0, 0.0]),
                             np.ones(2)], scales=[1.0, 2.0, 1.0])
         x = frozen(rng.uniform(size=(5, 3)))
+        labels = rng.integers(2, size=5)
         want = reference_forward(params, x, mask)
         got = forward(params, x, mask)
         assert_same_arrays(cache_arrays(got), cache_arrays(want))
-        assert got.layer_inputs[1] is not got.pre_activations[0]
+        assert got.derivatives == [None, None]
+        got_g = backward(params, got, labels)
+        want_g = reference_backward(params, want, labels)
+        assert_same_arrays(got_g.weights + got_g.biases,
+                           want_g.weights + want_g.biases)
+
+    def test_rectifier_caches_a_bool_factor_and_no_pre_activation(self):
+        rng = RngStream(9, 0)
+        widths = [7, 6, 5, 3]
+        params = random_net(rng, widths, "rectifier")
+        x = frozen(rng.uniform(-2.0, 2.0, size=(11, 7)))
+        got = forward(params, x, random_mask(rng, widths, "hidden"))
+        assert [d.dtype for d in got.derivatives[:-1]] == [np.bool_] * 2
+        for l, width in enumerate(widths[1:-1]):
+            kept = [a for a in forward_arrays(got)
+                    if a.dtype == np.float64 and a.shape == (11, width)]
+            assert len(kept) == 1 and kept[0] is got.layer_inputs[l + 1]
 
 
 class TestCachesAreNotReused:
@@ -271,7 +325,7 @@ class TestCachesAreNotReused:
         labels = rng.integers(3, size=11)
         mask = random_mask(rng, widths, "hidden")
         first = forward(params, x, mask)
-        snapshot = [a.copy() for a in cache_arrays(first)]
+        snapshot = [a.copy() for a in forward_arrays(first)]
         grads = backward(params, first, labels, mask)
         grad_snapshot = [g.copy() for g in grads.weights + grads.biases]
         for later_mask in (None, mask, random_mask(rng, widths, "direct")):
@@ -279,7 +333,7 @@ class TestCachesAreNotReused:
             backward(params, later, labels)
         predict_probabilities(params, x)
         probabilities(params, x)
-        assert_same_arrays(cache_arrays(first), snapshot)
+        assert_same_arrays(forward_arrays(first), snapshot)
         assert_same_arrays(grads.weights + grads.biases, grad_snapshot)
 
     def test_input_is_never_written(self):

@@ -1,3 +1,4 @@
+import pathlib
 import struct
 
 import numpy as np
@@ -55,6 +56,39 @@ class TestRoundTrip:
         save_checkpoint(a, params)
         save_checkpoint(b, params)
         assert a.read_bytes() == b.read_bytes()
+
+
+def fail_mid_write(monkeypatch, name):
+    """Makes writing a file called `name` stop with an error halfway."""
+    write_bytes = pathlib.Path.write_bytes
+
+    def half_then_fail(path, data):
+        if path.name != name:
+            return write_bytes(path, data)
+        write_bytes(path, data[:len(data) // 2])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(pathlib.Path, "write_bytes", half_then_fail)
+
+
+class TestInterruptedSave:
+    def test_earlier_checkpoint_stays_whole(self, tmp_path, params,
+                                            monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        before = path.read_bytes()
+        params.weights[0][0, 0] += 1.0
+        fail_mid_write(monkeypatch, "model.ckpt.tmp")
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, params, init_rprop_state(params, RpropConfig()))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_first_save_leaves_no_file(self, tmp_path, params, monkeypatch):
+        fail_mid_write(monkeypatch, "model.ckpt.tmp")
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(tmp_path / "model.ckpt", params)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestByteLayout:

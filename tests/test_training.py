@@ -1,3 +1,5 @@
+import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -152,6 +154,13 @@ class TestTrainLoop:
             with pytest.raises(DivergenceError, match="epoch 1") as info:
                 fit(toy_splits, "sgd", SgdConfig(1e200), epochs=3)
         assert info.value.epoch == 1
+
+    def test_divergence_error_survives_pickling(self):
+        # a worker process hands a diverged run back to its parent this way
+        err = pickle.loads(pickle.dumps(DivergenceError(3, float("nan"))))
+        assert type(err) is DivergenceError
+        assert str(err) == "training diverged at epoch 3: loss nan"
+        assert err.epoch == 3 and math.isnan(err.loss)
 
     def test_epochs_equal_rows(self, toy_splits):
         res = fit(toy_splits, "rprop", RpropConfig(delta_init=0.01), epochs=5)
@@ -347,17 +356,38 @@ class TestUint8Pixels:
                           optimizer, cfg, clock=counter_clock(), **kw)
         assert result_bytes(got) == result_bytes(ref)
 
-    def test_full_batch_peak_holds_one_step(self):
-        # A full-batch step of 3000 x 784 pixels through 784-300-100-10
-        # holds 48 MB (gather, forward caches, gradients), far above the
-        # parameters and optimizer state. Keeping the previous step's
-        # caches and gradients alive into the next step reads about 1.43x.
+    @staticmethod
+    def full_batch_case():
         rng = np.random.default_rng(0)
         n = 3000
         train = Dataset(rng.integers(0, 256, size=(n, 784), dtype=np.uint8),
                         rng.integers(10, size=n))
-        val = Dataset(train.pixels[:200].copy(), train.labels[:200].copy())
         params = init_params(chain_specs((784, 300, 100, 10)), RngStream(1, 0))
+        return train, params
+
+    def test_full_batch_step_keeps_no_pre_activations(self):
+        # The gathered batch (18.8 MB), the two hidden activations with
+        # their bool derivative factors (10.8 MB) and backward's widest
+        # delta and gradient. Caching the float64 pre-activations as well
+        # peaks at 48.35 MB and fails the bound.
+        train, params = self.full_batch_case()
+        tracemalloc.start()
+        try:
+            xb = train.batch(np.arange(len(train)))
+            backward(params, forward(params, xb), train.labels)
+            _, step = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert step <= 42e6, step
+
+    def test_full_batch_peak_holds_one_step(self):
+        # A full-batch step of 3000 x 784 pixels through 784-300-100-10
+        # holds 40 MB (gather, forward caches, gradients), far above the
+        # parameters and optimizer state. Keeping the previous step's
+        # caches and gradients alive into the next step breaks the bound.
+        train, params = self.full_batch_case()
+        n = len(train)
+        val = Dataset(train.pixels[:200].copy(), train.labels[:200].copy())
         tracemalloc.start()
         try:
             xb = train.batch(np.arange(n))
