@@ -174,7 +174,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=55.0)
     ap.add_argument("--trace-seed", type=int,
                     help="seed of the traced runs (default: last seed + 1)")
-    ap.add_argument("--out", help="also write every run's result as JSON")
+    ap.add_argument("--out", help="also write, as JSON, each end-to-end "
+                    "metric's `summarize` output and every run's result")
     ap.add_argument("--claim", metavar="METRIC@WORKLOAD",
                     help="also check the claim rule for this metric")
     args = ap.parse_args(argv)
@@ -249,7 +250,10 @@ def main(argv=None) -> int:
                      f"{'MET' if claim_ok else 'NOT MET'} ({detail})")
     print("\n".join(lines))
     if args.out:
-        Path(args.out).write_text(json.dumps(runs, indent=1) + "\n")
+        Path(args.out).write_text(json.dumps({
+            "summaries": [{"workload": w, "metric": name, **s}
+                          for (w, name), s in summaries.items()],
+            "runs": runs}, indent=1) + "\n")
     return 1 if failed or violations or not claim_ok else 0
 
 

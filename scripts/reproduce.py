@@ -26,6 +26,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from resprop import harness  # noqa: E402
+from resprop.serialization import write_atomic  # noqa: E402
 from resprop.stats import wilcoxon_signed_rank  # noqa: E402
 from resprop.training import DivergenceError  # noqa: E402
 
@@ -87,7 +88,7 @@ def reproduce(args) -> None:
                 % (kind, *sizes, res.statistic, res.p_value,
                    "significant" if res.significant(CONFIDENCE)
                    else "not significant", 100.0 * CONFIDENCE))
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    write_atomic(out / "summary.txt", ("\n".join(lines) + "\n").encode())
 
 
 def main(argv=None) -> int:

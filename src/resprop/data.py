@@ -106,7 +106,9 @@ class Dataset:
         self.pixels = np.asarray(self.pixels)
         if self.pixels.dtype != np.uint8:
             self.pixels = self.pixels.astype(np.float64, copy=False)
-            if self.pixels.size and (self.pixels.min() < 0 or self.pixels.max() > 1):
+            # NaN fails both comparisons, so it is rejected too
+            if self.pixels.size and not (self.pixels.min() >= 0
+                                         and self.pixels.max() <= 1):
                 raise ValueError("image entries must lie in [0, 1]")
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.pixels.ndim != 2:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Gradients, NetworkParams, backward, forward, nll_loss
+from .network import (Gradients, NetworkParams, backward, forward, locate,
+                      nll_loss)
 
 DEFAULT_H = 1e-5
 REL_FLOOR = 1e-5
@@ -34,22 +35,17 @@ def finite_difference_gradients(params: NetworkParams, x, labels,
     if h <= 0:
         raise ValueError(f"step h must be positive, got {h}")
     work = params.copy()
-    grads_w, grads_b = [], []
-    for arrays, grads in ((work.weights, grads_w), (work.biases, grads_b)):
-        for arr in arrays:
-            g = np.zeros_like(arr)
-            flat = arr.reshape(-1)
-            gflat = g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = _loss_at(work, x, labels, mask)
-                flat[i] = orig - h
-                down = _loss_at(work, x, labels, mask)
-                flat[i] = orig
-                gflat[i] = (up - down) / (2.0 * h)
-            grads.append(g)
-    return Gradients(grads_w, grads_b)
+    flat = work.flat
+    grads = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = _loss_at(work, x, labels, mask)
+        flat[i] = orig - h
+        down = _loss_at(work, x, labels, mask)
+        flat[i] = orig
+        grads[i] = (up - down) / (2.0 * h)
+    return Gradients.from_flat(work.specs, grads)
 
 
 @dataclass(frozen=True)
@@ -71,23 +67,10 @@ def gradient_check(params: NetworkParams, x, labels, h: float = DEFAULT_H,
     analytic = backward(params, cache, labels, mask)
     numeric = finite_difference_gradients(params, x, labels, h, mask)
 
-    worst = -1.0
-    worst_loc = ""
-    within = 0
-    total = 0
-    pairs = [
-        ("weights", analytic.weights, numeric.weights),
-        ("biases", analytic.biases, numeric.biases),
-    ]
-    for name, a_list, f_list in pairs:
-        for layer, (a, f) in enumerate(zip(a_list, f_list)):
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), REL_FLOOR)
-            rel = np.abs(a - f) / denom
-            total += rel.size
-            within += int((rel <= tol).sum())
-            local_worst = float(rel.max())
-            if local_worst > worst:
-                worst = local_worst
-                idx = np.unravel_index(int(np.argmax(rel)), rel.shape)
-                worst_loc = f"layer {layer} {name}{[int(i) for i in idx]}"
-    return GradCheckReport(worst, within / total, total, tol, worst_loc)
+    a, f = analytic.flat, numeric.flat
+    rel = np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), REL_FLOOR)
+    i = int(np.argmax(rel))
+    within = int(np.count_nonzero(rel <= tol))
+    layer, name, idx = locate(params.specs, i)
+    return GradCheckReport(float(rel[i]), within / rel.size, rel.size, tol,
+                           f"layer {layer} {name}{list(idx)}")

@@ -39,7 +39,7 @@ from .ensemble import (
 )
 from .network import chain_specs, init_params, parse_init_rule
 from .optimizers import RpropConfig, SgdConfig
-from .serialization import save_checkpoint
+from .serialization import save_checkpoint, write_atomic
 from .stats import WilcoxonResult, wilcoxon_signed_rank
 from .tensor import RngStream
 from .training import (
@@ -473,22 +473,23 @@ def run_experiment(cfg: ExperimentConfig, splits: Optional[DataSplits] = None,
     out = Path(cfg.out_dir)
     if save:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "config.txt").write_text(config_to_text(cfg))
+        write_atomic(out / "config.txt", config_to_text(cfg).encode())
     rprop_cfg = None if cfg.optimizer == "sgd" else cfg.optimizer_config()
     records = []
     for seed in cfg.seeds:
         record, result = train_run(cfg, seed, splits)
         records.append(record)
         if save:
-            (out / f"metrics-seed{seed}.csv").write_text(export_metrics(record))
+            write_atomic(out / f"metrics-seed{seed}.csv",
+                         export_metrics(record).encode())
             save_checkpoint(out / f"model-seed{seed}.ckpt", result.best_params)
             save_checkpoint(out / f"final-seed{seed}.ckpt", result.final_params,
                             state=result.final_state, cfg=rprop_cfg)
     exp = ExperimentResult(cfg, records)
     if save:
-        (out / "runs.csv").write_text(export_runs_csv(exp.summaries()))
-        (out / "summary.txt").write_text(
-            format_summary_table([(label, exp.summaries())]))
+        write_atomic(out / "runs.csv", export_runs_csv(exp.summaries()).encode())
+        write_atomic(out / "summary.txt", format_summary_table(
+            [(label, exp.summaries())]).encode())
     return exp
 
 
@@ -587,13 +588,14 @@ def run_ensemble(cfg: EnsembleRunConfig, splits: Optional[DataSplits] = None,
     if save:
         out_dir = Path(cfg.out_dir)
         save_ensemble(out_dir, training, seed=cfg.seed)
-        (out_dir / "spec.txt").write_text(config_to_text(cfg))
+        write_atomic(out_dir / "spec.txt", config_to_text(cfg).encode())
         lines = [f"kind {cfg.kind}  size {cfg.size}  "
                  f"aggregation {cfg.aggregation}"]
         for i, err in enumerate(member_errs):
             lines.append("member %02d  test err %.4f" % (i, err))
         lines.append("ensemble   test err %.4f" % ens_err)
-        (out_dir / "ensemble-summary.txt").write_text("\n".join(lines) + "\n")
+        write_atomic(out_dir / "ensemble-summary.txt",
+                     ("\n".join(lines) + "\n").encode())
     return out
 
 

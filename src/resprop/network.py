@@ -4,6 +4,11 @@ Conventions fixed here and relied on by the optimizers and the trainer:
 
 * weights are float64 matrices of shape (fan_in, fan_out), row-major;
   biases are float64 vectors of shape (fan_out,);
+* a model's weights and biases are views into one buffer, `flat`, in
+  checkpoint order (layer 0's weights, then its bias, then layer 1...);
+  gradients and Rprop state share that layout, so a per-weight rule
+  walks one flat array and a checkpoint section is the buffer's bytes,
+  the same bytes as when each array was written on its own;
 * a batch is a (n, fan_in) matrix, one example per row;
 * the final layer's activation is applied and the result fed through a
   row-wise softmax, so class probabilities always sum to 1 per row;
@@ -30,6 +35,7 @@ activation's derivative) are skipped, in `backward` too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,13 +109,53 @@ def _check_chain(specs):
             )
 
 
+def layout(specs) -> list[tuple]:
+    """Each array's shape in checkpoint order: per layer, weights then
+    bias. A model's buffer holds sum(math.prod(s) for s in layout(specs))
+    elements."""
+    return [x for s in specs for x in ((s.fan_in, s.fan_out), (s.fan_out,))]
+
+
+def flat_views(flat: np.ndarray, shapes) -> tuple[list, list]:
+    """(weight views, bias views) of the 1-D buffer `flat`, which holds
+    arrays of the `layout` `shapes` end to end."""
+    views, i = [], 0
+    for shape in shapes:
+        views.append(flat[i:i + math.prod(shape)].reshape(shape))
+        i += views[-1].size
+    if i != flat.size:
+        raise ValueError(f"{flat.size} elements do not hold arrays of {i}")
+    return views[0::2], views[1::2]
+
+
+def flatten(weights, biases) -> tuple[np.ndarray, list, list]:
+    """Copies per-layer arrays into one new buffer in the first weight
+    matrix's dtype: (buffer, weight views, bias views)."""
+    arrays = [a for pair in zip(weights, biases, strict=True) for a in pair]
+    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=weights[0].dtype)
+    return (flat, *flat_views(flat, [a.shape for a in arrays]))
+
+
+def locate(specs, i: int) -> tuple[int, str, tuple]:
+    """Flat index `i` of a model's buffer as (layer, "weights" or
+    "biases", index into that array)."""
+    for k, shape in enumerate(layout(specs)):
+        if i < math.prod(shape):
+            return (k // 2, ("weights", "biases")[k % 2],
+                    tuple(int(j) for j in np.unravel_index(i, shape)))
+        i -= math.prod(shape)
+    raise IndexError("flat index beyond the model's buffer")
+
+
 @dataclass
 class NetworkParams:
-    """Per-layer weight matrices and bias vectors."""
+    """Per-layer weight matrices and bias vectors, views into `flat`
+    (built from lists, they are copied into a new buffer)."""
 
     specs: tuple[LayerSpec, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.specs = tuple(self.specs)
@@ -126,6 +172,17 @@ class NetworkParams:
                 raise ValueError(
                     f"bias shape {b.shape} does not match fan_out {spec.fan_out}"
                 )
+        self.flat, self.weights, self.biases = flatten(self.weights, self.biases)
+
+    @classmethod
+    def from_flat(cls, specs, flat: np.ndarray) -> "NetworkParams":
+        """Params whose arrays are views into `flat` itself."""
+        specs = tuple(specs)
+        _check_chain(specs)
+        params = cls.__new__(cls)
+        params.specs, params.flat = specs, flat
+        params.weights, params.biases = flat_views(flat, layout(specs))
+        return params
 
     @property
     def num_layers(self) -> int:
@@ -140,22 +197,31 @@ class NetworkParams:
         return self.specs[0].fan_in
 
     def num_parameters(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.flat.size
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            self.specs,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return NetworkParams.from_flat(self.specs, self.flat.copy())
 
 
 @dataclass
 class Gradients:
-    """Loss gradients, shaped like the NetworkParams they came from."""
+    """Loss gradients, shaped and laid out like the NetworkParams they
+    came from (built from lists, they are copied into a new buffer)."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.flat, self.weights, self.biases = flatten(self.weights, self.biases)
+
+    @classmethod
+    def from_flat(cls, specs, flat: np.ndarray) -> "Gradients":
+        """Gradients of a model of `specs`, views into `flat` itself."""
+        grads = cls.__new__(cls)
+        grads.flat = flat
+        grads.weights, grads.biases = flat_views(flat, layout(specs))
+        return grads
 
 
 def parse_init_rule(scale_rule: str):
@@ -183,14 +249,13 @@ def init_params(specs, rng, scale_rule: str = "uniform-fan-in") -> NetworkParams
     always produces the same parameters.
     """
     specs = list(specs)
-    _check_chain(specs)
+    params = NetworkParams.from_flat(
+        specs, np.zeros(sum(map(math.prod, layout(specs)))))
     weight_range = parse_init_rule(scale_rule)
-    weights, biases = [], []
-    for spec in specs:
+    for spec, w in zip(specs, params.weights):
         r = weight_range(spec.fan_in)
-        weights.append(rng.uniform(-r, r, size=(spec.fan_in, spec.fan_out)))
-        biases.append(np.zeros(spec.fan_out))
-    return NetworkParams(tuple(specs), weights, biases)
+        w[...] = rng.uniform(-r, r, size=w.shape)
+    return params
 
 
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -352,17 +417,15 @@ def backward(params: NetworkParams, cache: ForwardPass, labels: np.ndarray,
     dz[np.arange(n), labels] -= 1.0
     dz /= n
 
-    n_layers = params.num_layers
-    grads_w: list[np.ndarray] = [None] * n_layers
-    grads_b: list[np.ndarray] = [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
+    grads = Gradients.from_flat(params.specs, np.empty(params.flat.size))
+    for l in range(params.num_layers - 1, -1, -1):
         if cache.derivatives[l] is not None:
             dz *= cache.derivatives[l]
-        grads_w[l] = cache.layer_inputs[l].T @ dz
-        grads_b[l] = dz.sum(axis=0)
+        np.matmul(cache.layer_inputs[l].T, dz, out=grads.weights[l])
+        dz.sum(axis=0, out=grads.biases[l])
         if l > 0:
             dz = dz @ params.weights[l].T
             factor = _node_factor(mask, l)
             if factor is not None:
                 dz *= factor
-    return Gradients(grads_w, grads_b)
+    return grads

@@ -36,36 +36,35 @@ Both rules run in one kernel, `_rprop_update`. They differ only in the
 node mask, which the classic rule does not have, and in one flag for the
 genuine-zero branch (stored gradient nonzero, gradient zero): the
 classic rule moves by zero and stores the gradient, the mask-aware rule
-holds. A layer whose node masks are all live is stepped without a mask.
-The kernel walks each array in row blocks small enough that a block's
-operands and its scratch stay in a 2 MiB L2 cache, reuses block-sized
-scratch for every block and layer of a step, and selects each result
-with bitwise masks on int64 views rather than `np.where` (which costs
-an order of magnitude more per element on data-dependent masks). Every
-selected value, signed zeros included, is the one the textbook formula
-gives.
+holds; a mask whose nodes are all live is dropped. Params, gradients and
+state keep every layer in one flat buffer in one order (see
+`resprop.network`), and a kernel walks that one array in blocks whose
+operands and scratch fit a 2 MiB L2 cache, reusing the scratch for every
+block. It selects each result with bitwise masks on int64 views rather
+than `np.where` (an order of magnitude slower per element on
+data-dependent masks). Every selected value, signed zeros included, is
+the one the textbook formula gives.
 
 sgn(0) is 0 exactly (both signed zeros), so a zero gradient never moves
 a weight. Gradients are expected to be batch means, which keeps step
 semantics independent of batch size.
 
-Every kernel takes `out=`: `out=(params, state)` for the Rprop kernels
-and `out=params` for `sgd_step`. The result is written there and
-returned; `out` may be the inputs themselves, which steps in place with
-no allocation beyond the block scratch. With `out=None` (the default)
-the kernel first copies its inputs, so it returns fresh params/state
-and never mutates its arguments.
+Every kernel takes `out=` (`(params, state)` for the Rprop kernels,
+`params` for `sgd_step`), writes its result there and returns it; `out`
+may be the inputs themselves, which steps in place. With `out=None` (the
+default) the kernel copies its inputs first and never mutates them.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dropout import DropoutMask
-from .network import Gradients, NetworkParams, check_mask
+from .network import (Gradients, NetworkParams, check_mask, flat_views, flatten,
+                      layout, locate)
 
 logger = logging.getLogger(__name__)
 
@@ -115,20 +114,32 @@ class RpropConfig:
 
 @dataclass
 class RpropState:
-    """Per-weight step sizes and stored previous gradients."""
+    """Per-weight step sizes and stored previous gradients: views into
+    `delta` and `prev`, each laid out like `NetworkParams.flat` (built
+    from lists, they are copied into new buffers)."""
 
     delta_w: list[np.ndarray]
     delta_b: list[np.ndarray]
     prev_w: list[np.ndarray]
     prev_b: list[np.ndarray]
+    delta: np.ndarray = field(init=False, repr=False)
+    prev: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.delta, self.delta_w, self.delta_b = flatten(self.delta_w, self.delta_b)
+        self.prev, self.prev_w, self.prev_b = flatten(self.prev_w, self.prev_b)
+
+    @classmethod
+    def from_flat(cls, specs, delta: np.ndarray, prev: np.ndarray) -> "RpropState":
+        """State of a model of `specs`, views into `delta` and `prev` themselves."""
+        state = cls.__new__(cls)
+        state.delta, state.prev = delta, prev
+        state.delta_w, state.delta_b = flat_views(delta, layout(specs))
+        state.prev_w, state.prev_b = flat_views(prev, layout(specs))
+        return state
 
     def copy(self) -> "RpropState":
-        return RpropState(
-            [a.copy() for a in self.delta_w],
-            [a.copy() for a in self.delta_b],
-            [a.copy() for a in self.prev_w],
-            [a.copy() for a in self.prev_b],
-        )
+        return RpropState(self.delta_w, self.delta_b, self.prev_w, self.prev_b)
 
 
 def init_rprop_state(params: NetworkParams, cfg: RpropConfig) -> RpropState:
@@ -137,20 +148,15 @@ def init_rprop_state(params: NetworkParams, cfg: RpropConfig) -> RpropState:
     With zero stored gradients the first step lands in the zero-product
     branch and moves every weight by -sgn(g) * delta_init.
     """
-    return RpropState(
-        [np.full_like(w, cfg.delta_init) for w in params.weights],
-        [np.full_like(b, cfg.delta_init) for b in params.biases],
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
+    return RpropState.from_flat(params.specs, np.full_like(params.flat, cfg.delta_init),
+                                np.zeros_like(params.flat))
 
 
 I8, I64, F64 = np.int8, np.int64, np.float64
 
-# Elements per row block. A block's four operands and ten scratch
-# buffers take about 70 bytes per element, so a block stays within a
-# 2 MiB L2 cache; larger blocks would spill it, smaller ones pay more
-# per-call numpy overhead.
+# Elements per block. A block's operands and scratch take about 70 bytes
+# per element, so a block stays within a 2 MiB L2 cache; larger blocks
+# would spill it, smaller ones pay more per-call numpy overhead.
 _BLOCK_ELEMS = 16384
 
 
@@ -161,129 +167,90 @@ def _bits(x) -> np.int64:
 _ONE, _INF = _bits(1.0), _bits(np.inf)
 
 
-def _as_2d(weights, biases) -> list[np.ndarray]:
-    """Weight matrices, then each bias vector as a one-row view."""
-    return list(weights) + [b[None] for b in biases]
+def _check_finite(params: NetworkParams, grads: Gradients) -> None:
+    if np.isfinite(grads.flat).all():
+        return
+    i = int(np.flatnonzero(~np.isfinite(grads.flat))[0])
+    layer, name, idx = locate(params.specs, i)
+    raise ValueError(f"non-finite gradient at layer {layer} {name}, index {idx}")
 
 
-def _block_rows(cols: int) -> int:
-    return max(1, _BLOCK_ELEMS // cols)
-
-
-def _block_elems(arrays) -> int:
-    """Elements in the largest row block of any of `arrays`."""
-    return max(min(a.shape[0], _block_rows(a.shape[1])) * a.shape[1]
-               for a in arrays)
-
-
-def _row_blocks(shape, views_for):
-    """Yields (row slice, scratch views) for each row block of a 2-D
-    array. `views_for(height, cols)` shapes the scratch like a block; it
-    is called again only when the block height changes."""
-    rows, cols = shape
-    step = _block_rows(cols)
-    views, height = None, 0
-    for r0 in range(0, rows, step):
-        r1 = min(rows, r0 + step)
-        if r1 - r0 != height:
-            height = r1 - r0
-            views = views_for(height, cols)
-        yield slice(r0, r1), views
-
-
-def _check_finite(grads: Gradients) -> None:
-    for l, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
-        for name, g in (("weights", gw), ("biases", gb)):
-            if not np.isfinite(g).all():
-                idx = np.argwhere(~np.isfinite(g))[0]
-                raise ValueError(
-                    f"non-finite gradient at layer {l} {name}, index "
-                    f"{tuple(int(i) for i in idx)}"
-                )
-
-
-def _check_congruent(params: NetworkParams, other, what: str = "gradient") -> None:
-    if len(other.weights) != params.num_layers or len(other.biases) != params.num_layers:
-        raise ValueError(
-            f"{what} has {len(other.weights)}/{len(other.biases)} weight/bias "
-            f"arrays for a {params.num_layers}-layer network"
-        )
-    for l, (w, gw, b, gb) in enumerate(
-        zip(params.weights, other.weights, params.biases, other.biases)
-    ):
+def _check_layout(params: NetworkParams, weights, biases, what: str) -> None:
+    """Raises unless `weights` and `biases` are shaped like `params`'
+    arrays, naming the first layer that differs."""
+    shapes = layout(params.specs)
+    if ([w.shape for w in weights] == shapes[0::2]
+            and [b.shape for b in biases] == shapes[1::2]):
+        return
+    n = params.num_layers
+    if len(weights) != n or len(biases) != n:
+        raise ValueError(f"{what} has {len(weights)}/{len(biases)} weight/bias "
+                         f"arrays for a {n}-layer network")
+    for l, (w, gw, b, gb) in enumerate(zip(params.weights, weights,
+                                           params.biases, biases)):
         if w.shape != gw.shape or b.shape != gb.shape:
-            raise ValueError(
-                f"{what} shapes {gw.shape}/{gb.shape} do not match parameter "
-                f"shapes {w.shape}/{b.shape} at layer {l}"
-            )
+            raise ValueError(f"{what} shapes {gw.shape}/{gb.shape} do not match "
+                             f"parameter shapes {w.shape}/{b.shape} at layer {l}")
 
 
 def sgd_step(params: NetworkParams, grads: Gradients, cfg: SgdConfig, *,
              out: NetworkParams | None = None) -> NetworkParams:
     """w <- w - learning_rate * g, elementwise. Returns the stepped params:
     `out` when given (it may be `params` itself), else a fresh copy."""
-    _check_congruent(params, grads)
-    _check_finite(grads)
+    _check_layout(params, grads.weights, grads.biases, "gradient")
+    _check_finite(params, grads)
     if out is None:
         out = params.copy()
     else:
-        _check_congruent(params, out, "output")
+        _check_layout(params, out.weights, out.biases, "output")
     lr = cfg.learning_rate
-    ws = _as_2d(params.weights, params.biases)
-    buf = np.empty(_block_elems(ws))
-    views_for = lambda h, c: buf[:h * c].reshape(h, c)
-    for w, g, o in zip(ws, _as_2d(grads.weights, grads.biases),
-                       _as_2d(out.weights, out.biases)):
-        for rows, step in _row_blocks(w.shape, views_for):
-            np.multiply(g[rows], lr, out=step)
-            np.subtract(w[rows], step, out=o[rows])
+    w, g, o = params.flat, grads.flat, out.flat
+    step = np.empty(min(w.size, _BLOCK_ELEMS))
+    for lo in range(0, w.size, _BLOCK_ELEMS):
+        blk = slice(lo, lo + _BLOCK_ELEMS)
+        s = step[:min(w.size - lo, _BLOCK_ELEMS)]
+        np.multiply(g[blk], lr, out=s)
+        np.subtract(w[blk], s, out=o[blk])
     return out
 
 
-class _RpropScratch:
-    """Block-sized buffers shared by every block and layer of one step:
-    three bool flags, three int8 signs and four 64-bit words a block."""
-
-    def __init__(self, n: int):
-        self.flags = np.empty((3, n), dtype=bool)
-        self.signs = np.empty((3, n), dtype=I8)
-        self.words = np.empty((4, n), dtype=I64)
-
-    def __call__(self, height: int, cols: int):
-        n = height * cols
-        pos, neg, live = (f[:n].reshape(height, cols) for f in self.flags)
-        sg, sp, t = (s[:n].reshape(height, cols) for s in self.signs)
-        grow, shrink, a, b = (w[:n].reshape(height, cols) for w in self.words)
-        return (pos, pos.view(I8), neg, neg.view(I8), live, live.view(I8),
-                sg, sp, t, grow, shrink, a, a.view(F64), b)
-
-
 def _rprop_update(w, g, delta, prev, w_out, delta_out, prev_out, bits,
-                  hold_zero, live, scratch):
-    """One Rprop transition of a 2-D array, written to the *_out arrays.
+                  hold_zero, live):
+    """One Rprop transition of flat arrays, written to the *_out arrays.
 
     `bits` holds the int64 patterns (1.0 ^ eta_plus, 1.0 ^ eta_minus,
     inf ^ delta_max, delta_min). `live` is None when every weight is
-    live, else (row mask, column mask) as bools: a weight is live when
-    both its row and its column are, and frozen otherwise. `hold_zero`
-    makes the genuine-zero branch hold instead of storing the gradient.
+    live, else a bool array like `w`: False marks a frozen weight.
+    `hold_zero` makes the genuine-zero branch hold instead of storing
+    the gradient.
     """
     grow_eta, shrink_eta, ceil_bits, floor_bits = bits
     g_bits, prev_bits, out_bits = g.view(I64), prev.view(I64), prev_out.view(I64)
-    for rows, (pos, pos8, neg, neg8, live_b, live8, sg, sp, t,
-               grow, shrink, a, a_f, b) in _row_blocks(w.shape, scratch):
+    live8 = None if live is None else live.view(I8)
+    # block-sized scratch, shared by every block: two bool flags, three
+    # int8 signs and four 64-bit words an element
+    size = min(w.size, _BLOCK_ELEMS)
+    flags = np.empty((2, size), dtype=bool)
+    signs = np.empty((3, size), dtype=I8)
+    words = np.empty((4, size), dtype=I64)
+    for lo in range(0, w.size, _BLOCK_ELEMS):
+        blk, n = slice(lo, lo + _BLOCK_ELEMS), min(w.size - lo, _BLOCK_ELEMS)
+        pos, neg = flags[0, :n], flags[1, :n]
+        pos8, neg8 = pos.view(I8), neg.view(I8)
+        sg, sp, t = signs[:, :n]
+        grow, shrink, a, b = words[:, :n]
+        a_f = a.view(F64)
         # sign(g) and sign(prev) in {-1, 0, 1}; their product picks the
         # branch and, unlike prev * g, cannot underflow to zero
-        np.greater(g[rows], 0.0, out=pos)
-        np.less(g[rows], 0.0, out=neg)
+        np.greater(g[blk], 0.0, out=pos)
+        np.less(g[blk], 0.0, out=neg)
         np.subtract(pos8, neg8, out=sg)
-        np.greater(prev[rows], 0.0, out=pos)
-        np.less(prev[rows], 0.0, out=neg)
+        np.greater(prev[blk], 0.0, out=pos)
+        np.less(prev[blk], 0.0, out=neg)
         np.subtract(pos8, neg8, out=sp)
         if live is not None:
             # a frozen weight takes neither adaptive branch and never moves
-            np.logical_and(live[0][rows, None], live[1], out=live_b)
-            np.multiply(sg, live8, out=sg)
+            np.multiply(sg, live8[blk], out=sg)
         np.multiply(sg, sp, out=t)
         np.greater(t, 0, out=pos)
         np.less(t, 0, out=neg)
@@ -293,12 +260,12 @@ def _rprop_update(w, g, delta, prev, w_out, delta_out, prev_out, bits,
 
         # delta' = delta * (eta_plus | eta_minus | 1), then capped at
         # delta_max on grow only and floored at delta_min on shrink only
-        d = delta_out[rows]
+        d = delta_out[blk]
         np.bitwise_and(grow, grow_eta, out=a)
         np.bitwise_and(shrink, shrink_eta, out=b)
         np.bitwise_xor(a, b, out=a)
         np.bitwise_xor(a, _ONE, out=a)
-        np.multiply(delta[rows], a_f, out=d)
+        np.multiply(delta[blk], a_f, out=d)
         np.bitwise_and(grow, ceil_bits, out=a)
         np.bitwise_xor(a, _INF, out=a)
         np.minimum(d, a_f, out=d)
@@ -314,11 +281,11 @@ def _rprop_update(w, g, delta, prev, w_out, delta_out, prev_out, bits,
         np.copyto(a_f, sg, casting="unsafe")
         np.multiply(a_f, d, out=a_f)
         np.bitwise_and(a, off_shrink, out=a)
-        np.subtract(w[rows], a_f, out=w_out[rows])
+        np.subtract(w[blk], a_f, out=w_out[blk])
 
         # stored gradient: g, cleared to +0 on shrink
-        stored = b if hold_zero else out_bits[rows]
-        np.bitwise_and(g_bits[rows], off_shrink, out=stored)
+        stored = b if hold_zero else out_bits[blk]
+        np.bitwise_and(g_bits[blk], off_shrink, out=stored)
         if hold_zero:
             # held weights keep prev: frozen ones, and live ones with
             # prev != 0 and g == 0
@@ -326,54 +293,48 @@ def _rprop_update(w, g, delta, prev, w_out, delta_out, prev_out, bits,
             np.equal(sg, 0, out=neg)
             np.logical_and(pos, neg, out=pos)
             if live is not None:
-                np.logical_not(live_b, out=live_b)
-                np.logical_or(pos, live_b, out=pos)
+                np.logical_not(live[blk], out=neg)
+                np.logical_or(pos, neg, out=pos)
             held = grow
             np.negative(pos8, out=held, casting="unsafe")
-            np.bitwise_xor(stored, prev_bits[rows], out=a)
+            np.bitwise_xor(stored, prev_bits[blk], out=a)
             np.bitwise_and(a, held, out=a)
-            np.bitwise_xor(a, stored, out=out_bits[rows])
+            np.bitwise_xor(a, stored, out=out_bits[blk])
 
 
-def _live(rows: np.ndarray, cols: np.ndarray):
-    """The kernel's `live` argument for one array: None when all live."""
-    return None if rows.all() and cols.all() else (rows, cols)
+def _live_weights(params: NetworkParams, mask: DropoutMask):
+    """The kernel's `live`: None when every node is live, else a bool
+    array like `params.flat`, True where a weight's nodes are all live."""
+    check_mask(params, mask)
+    nodes = [m != 0.0 for m in mask.node_masks]
+    if all(m.all() for m in nodes):
+        return None
+    live = np.empty(params.flat.size, dtype=bool)
+    for l, (lw, lb) in enumerate(zip(*flat_views(live, layout(params.specs)))):
+        np.logical_and(nodes[l][:, None], nodes[l + 1], out=lw)
+        lb[...] = nodes[l + 1]
+    return live
 
 
 def _rprop(params, grads, state, cfg, mask, out):
-    _check_congruent(params, grads)
+    _check_layout(params, grads.weights, grads.biases, "gradient")
     _check_state(params, state)
-    _check_finite(grads)
+    _check_finite(params, grads)
     if out is None:
         out = (params.copy(), state.copy())
     else:
-        _check_congruent(params, out[0], "output")
+        _check_layout(params, out[0].weights, out[0].biases, "output")
         _check_state(params, out[1])
     out_params, out_state = out
-    ws = _as_2d(params.weights, params.biases)
-    arrays = (ws, _as_2d(grads.weights, grads.biases),
-              _as_2d(state.delta_w, state.delta_b),
-              _as_2d(state.prev_w, state.prev_b),
-              _as_2d(out_params.weights, out_params.biases),
-              _as_2d(out_state.delta_w, out_state.delta_b),
-              _as_2d(out_state.prev_w, out_state.prev_b))
-    for group in arrays:
-        for a in group:
-            if a.dtype != F64:
-                raise ValueError(f"Rprop kernels need float64 arrays, got {a.dtype}")
-    if mask is None:
-        lives = [None] * len(ws)
-    else:
-        check_mask(params, mask)
-        nodes = [m != 0.0 for m in mask.node_masks]
-        one_row = np.ones(1, dtype=bool)
-        lives = ([_live(nodes[l], nodes[l + 1]) for l in range(params.num_layers)]
-                 + [_live(one_row, nodes[l + 1]) for l in range(params.num_layers)])
+    arrays = (params.flat, grads.flat, state.delta, state.prev,
+              out_params.flat, out_state.delta, out_state.prev)
+    for a in arrays:
+        if a.dtype != F64:
+            raise ValueError(f"Rprop kernels need float64 arrays, got {a.dtype}")
+    live = None if mask is None else _live_weights(params, mask)
     bits = (_ONE ^ _bits(cfg.eta_plus), _ONE ^ _bits(cfg.eta_minus),
             _INF ^ _bits(cfg.delta_max), _bits(cfg.delta_min))
-    scratch = _RpropScratch(_block_elems(ws))
-    for *arrs, live in zip(*arrays, lives):
-        _rprop_update(*arrs, bits, mask is not None, live, scratch)
+    _rprop_update(*arrays, bits, mask is not None, live)
     return out
 
 
@@ -402,7 +363,5 @@ def dropout_rprop_step(params: NetworkParams, grads: Gradients, state: RpropStat
 
 
 def _check_state(params: NetworkParams, state: RpropState) -> None:
-    _check_congruent(params, Gradients(state.delta_w, state.delta_b),
-                     "optimizer step sizes")
-    _check_congruent(params, Gradients(state.prev_w, state.prev_b),
-                     "optimizer stored gradients")
+    _check_layout(params, state.delta_w, state.delta_b, "optimizer step sizes")
+    _check_layout(params, state.prev_w, state.prev_b, "optimizer stored gradients")

@@ -16,7 +16,9 @@ little-endian; stable across releases, bump the version on any change):
 
 Section payloads holding per-weight arrays use one fixed layout: for
 each layer in order, the weight matrix row-major (fan_in*fan_out
-float64) followed by the bias vector (fan_out float64).
+float64) followed by the bias vector (fan_out float64): the bytes of a
+model's one buffer (`NetworkParams.flat`, `RpropState.delta`, `.prev`),
+the same as when each array was written on its own.
 
     "params  "  model weights and biases (always present)
     "delta   "  Rprop per-weight step sizes (optional)
@@ -25,18 +27,20 @@ float64) followed by the bias vector (fan_out float64).
                 delta_init (optional, present with the state sections)
 
 Unknown section tags are skipped on read, so newer files with extra
-sections stay loadable.
+sections stay loadable. A repeated known tag, or a "delta" section
+without "prevgrad" (or the reverse), is rejected.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .network import LayerSpec, NetworkParams
+from .network import LayerSpec, NetworkParams, layout
 from .optimizers import RpropConfig, RpropState
 
 MAGIC = b"RPN1"
@@ -44,37 +48,19 @@ VERSION = 1
 
 _ACT_CODES = {"identity": 0, "rectifier": 1, "logistic": 2, "tanh": 3}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
+_TAGS = ("params", "delta", "prevgrad", "rprophp")
 
 
-def _pack_arrays(weights, biases) -> bytes:
-    parts = []
-    for w, b in zip(weights, biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(parts)
+def _pack_flat(flat: np.ndarray) -> bytes:
+    return flat.astype("<f8", copy=False).tobytes()
 
 
-def _unpack_arrays(payload: bytes, specs):
-    weights, biases = [], []
-    offset = 0
-    for spec in specs:
-        wn = spec.fan_in * spec.fan_out * 8
-        weights.append(
-            np.frombuffer(payload, dtype="<f8", count=spec.fan_in * spec.fan_out,
-                          offset=offset).reshape(spec.fan_in, spec.fan_out).copy()
-        )
-        offset += wn
-        biases.append(
-            np.frombuffer(payload, dtype="<f8", count=spec.fan_out,
-                          offset=offset).copy()
-        )
-        offset += spec.fan_out * 8
-    if offset != len(payload):
-        raise ValueError(
-            f"array section length {len(payload)} does not match the "
-            f"declared layer shapes (expected {offset})"
-        )
-    return weights, biases
+def _unpack_flat(payload: bytes, specs) -> np.ndarray:
+    expected = 8 * sum(map(math.prod, layout(specs)))
+    if len(payload) != expected:
+        raise ValueError(f"array section length {len(payload)} does not match "
+                         f"the declared layer shapes (expected {expected})")
+    return np.frombuffer(payload, dtype="<f8").astype(np.float64)
 
 
 def _section(tag: str, payload: bytes) -> bytes:
@@ -100,10 +86,10 @@ def save_checkpoint(path, params: NetworkParams,
     for spec in params.specs:
         head.append(struct.pack("<IIB", spec.fan_in, spec.fan_out,
                                 _ACT_CODES[spec.activation]))
-    sections = [_section("params", _pack_arrays(params.weights, params.biases))]
+    sections = [_section("params", _pack_flat(params.flat))]
     if state is not None:
-        sections.append(_section("delta", _pack_arrays(state.delta_w, state.delta_b)))
-        sections.append(_section("prevgrad", _pack_arrays(state.prev_w, state.prev_b)))
+        sections.append(_section("delta", _pack_flat(state.delta)))
+        sections.append(_section("prevgrad", _pack_flat(state.prev)))
     if cfg is not None:
         hp = struct.pack("<5d", cfg.eta_plus, cfg.eta_minus, cfg.delta_max,
                          cfg.delta_min, cfg.delta_init)
@@ -153,19 +139,23 @@ def load_checkpoint(path):
                 f"truncated checkpoint: section {tag!r} declares {length} "
                 f"bytes but the file ends after {len(data) - start}"
             )
-        sections[tag] = data[start:start + length]
+        if tag in sections:
+            raise ValueError(f"checkpoint repeats section {tag!r}")
+        if tag in _TAGS:
+            sections[tag] = data[start:start + length]
         offset = start + length
 
     if "params" not in sections:
         raise ValueError("checkpoint is missing its params section")
-    weights, biases = _unpack_arrays(sections["params"], specs)
-    params = NetworkParams(tuple(specs), weights, biases)
+    params = NetworkParams.from_flat(specs, _unpack_flat(sections["params"], specs))
 
     state = None
-    if "delta" in sections and "prevgrad" in sections:
-        dw, db = _unpack_arrays(sections["delta"], specs)
-        pw, pb = _unpack_arrays(sections["prevgrad"], specs)
-        state = RpropState(dw, db, pw, pb)
+    if ("delta" in sections) != ("prevgrad" in sections):
+        missing = "prevgrad" if "delta" in sections else "delta"
+        raise ValueError(f"checkpoint is missing its {missing} section")
+    if "delta" in sections:
+        state = RpropState.from_flat(specs, _unpack_flat(sections["delta"], specs),
+                                     _unpack_flat(sections["prevgrad"], specs))
 
     cfg = None
     if "rprophp" in sections:

@@ -297,6 +297,6 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
         if val_err < best_err:
             best_err = val_err
             best_epoch = epoch
-            best_params = params.copy()
+            np.copyto(best_params.flat, params.flat)
     return TrainResult(history, best_epoch, best_params, params, state,
                        optimizer)

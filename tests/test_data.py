@@ -116,6 +116,11 @@ class TestDataset:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Dataset(np.full((2, 4), 1.5), np.zeros(2, dtype=np.int64))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            Dataset(np.array([[bad, 0.5]]), [0])
+
     def test_batch_bit_equal_to_float64_split(self):
         # every byte value, then rows gathered repeated and out of order
         pixels = np.arange(7 * 40, dtype=np.int64).reshape(7, 40) % 256

@@ -36,6 +36,7 @@ from resprop.harness import (
 from resprop.optimizers import RpropConfig, SgdConfig
 from resprop.serialization import load_checkpoint
 from resprop.training import EpochRow
+from test_serialization import fail_mid_write
 
 
 def toy_splits(n_train=48, n_val=24, n_test=24, seed=0):
@@ -420,6 +421,17 @@ class TestRunExperiment:
         from resprop.training import classification_error
         err = classification_error(params, toy_splits().validation)
         assert err == pytest.approx(rec.best_val_err, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["config.txt", "metrics-seed1.csv",
+                                      "runs.csv", "summary.txt"])
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch,
+                                              name):
+        fail_mid_write(monkeypatch, f"{name}.tmp")
+        cfg = toy_config(out_dir=str(tmp_path), seeds=(1,))
+        with pytest.raises(OSError, match="No space"):
+            run_experiment(cfg, toy_splits(), save=True)
+        names = {p.name for p in tmp_path.iterdir()}
+        assert name not in names and f"{name}.tmp" not in names
 
     def test_save_false_writes_nothing(self, tmp_path):
         cfg = toy_config(out_dir=str(tmp_path / "never"), seeds=(1,))

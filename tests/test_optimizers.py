@@ -557,8 +557,8 @@ def node_mask(rng, n):
 
 class TestFusedKernelMatchesReference:
     """Multi-step random trajectories of the fused kernel against the
-    reference kernels, with every out= form and several row-block
-    sizes, compared bit for bit (signed zeros included)."""
+    reference kernels, with every out= form and several block sizes,
+    compared bit for bit (signed zeros included)."""
 
     @given(seed=st.integers(0, 2**32 - 1),
            etas=st.sampled_from([(1.2, 0.5), (1.3, 0.5), (2.0, 0.1),

@@ -33,19 +33,36 @@ def run(inputs, out, spec="ens.cfg"):
                            "--data", str(inputs / "digits"), "--out", str(out)])
 
 
+def tree(root):
+    """Every file under `root`, by relative path, with its bytes; in
+    config.txt and spec.txt, which record out_dir, `root` reads <out>."""
+    files = {}
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            data = p.read_bytes()
+            if p.name in ("config.txt", "spec.txt"):
+                data = data.replace(str(root).encode(), b"<out>")
+            files[str(p.relative_to(root))] = data
+    return files
+
+
 def test_report_is_byte_reproducible(inputs, tmp_path, capsys):
     assert run(inputs, tmp_path / "a") == 0
     printed = capsys.readouterr().out
     assert run(inputs, tmp_path / "b") == 0
-    report = (tmp_path / "a" / "summary.txt").read_bytes()
-    assert report == (tmp_path / "b" / "summary.txt").read_bytes()
+    a, b = tree(tmp_path / "a"), tree(tmp_path / "b")
+    assert sorted(a) == sorted(b)
+    for name in a:
+        assert a[name] == b[name], name
+    assert b"<out>" in a["sgd/config.txt"]
     for opt in ("sgd", "rprop", "mod-rprop"):
-        assert (tmp_path / "a" / opt / "runs.csv").exists()
+        for name in ("runs.csv", "metrics-seed1.csv", "final-seed2.ckpt"):
+            assert f"{opt}/{name}" in a
+    assert b"prevgrad" in a["mod-rprop/final-seed1.ckpt"]
     for kind in ("bagging", "stacking"):
         for seed in (1, 2):
-            assert (tmp_path / "a" / f"{kind}-2" / f"seed{seed}"
-                    / "ensemble.json").exists()
-    text = report.decode()
+            assert f"{kind}-2/seed{seed}/ensemble.json" in a
+    text = a["summary.txt"].decode()
     assert "not significant at the 98% confidence level" in text
     assert "stacking N=2 medians: member" in text
     assert printed == text

@@ -58,6 +58,47 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+def assert_views_tile(flat, weights, biases):
+    """Each layer's weights, then its bias, lie back to back in `flat`."""
+    assert flat.ndim == 1 and flat.flags.c_contiguous
+    offset = 0
+    for w, b in zip(weights, biases, strict=True):
+        for view in (w, b):
+            assert np.shares_memory(view, flat)
+            assert view.ctypes.data == flat.ctypes.data + 8 * offset
+            offset += view.size
+    assert offset == flat.size
+
+
+class TestOneBuffer:
+    def test_views_follow_checkpoint_order(self, tmp_path, params):
+        cfg = RpropConfig()
+        state = init_rprop_state(params, cfg)
+        assert_views_tile(params.flat, params.weights, params.biases)
+        assert_views_tile(state.delta, state.delta_w, state.delta_b)
+        assert_views_tile(state.prev, state.prev_w, state.prev_b)
+        path = tmp_path / "resume.ckpt"
+        save_checkpoint(path, params, state, cfg)
+        # params payload after 28 header bytes, the section count and
+        # the 16-byte section header
+        data = path.read_bytes()
+        assert data[48:48 + params.flat.nbytes] == params.flat.tobytes()
+        loaded, lstate, _ = load_checkpoint(path)
+        assert_views_tile(loaded.flat, loaded.weights, loaded.biases)
+        assert_views_tile(lstate.prev, lstate.prev_w, lstate.prev_b)
+
+    def test_copies_own_their_buffers(self, params):
+        state = init_rprop_state(params, RpropConfig())
+        p2, s2 = params.copy(), state.copy()
+        assert_views_tile(p2.flat, p2.weights, p2.biases)
+        assert_views_tile(s2.delta, s2.delta_w, s2.delta_b)
+        assert_views_tile(s2.prev, s2.prev_w, s2.prev_b)
+        for a, b in ((p2.flat, params.flat), (s2.delta, state.delta),
+                     (s2.prev, state.prev)):
+            assert not np.shares_memory(a, b)
+            assert a.tobytes() == b.tobytes()
+
+
 def fail_mid_write(monkeypatch, name):
     """Makes writing a file called `name` stop with an error halfway."""
     write_bytes = pathlib.Path.write_bytes
@@ -135,6 +176,16 @@ class TestRobustness:
         loaded, state, cfg = load_checkpoint(path)
         assert_params_equal(loaded, params)
 
+    def test_repeated_unknown_section_skipped(self, tmp_path, params):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        data = bytearray(path.read_bytes())
+        extra = b"future  " + struct.pack("<Q", 3) + b"xyz"
+        struct.pack_into("<I", data, 28, 3)
+        path.write_bytes(bytes(data) + extra + extra)
+        loaded, state, cfg = load_checkpoint(path)
+        assert_params_equal(loaded, params)
+
     def test_bad_magic_rejected(self, tmp_path, params):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params)
@@ -207,4 +258,26 @@ class TestRobustness:
         path.write_bytes(bytes(data) + b"rprophp " + struct.pack("<Q", 8)
                          + struct.pack("<d", 1.2))
         with pytest.raises(ValueError, match="rprophp section holds 8 bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("missing", ["delta", "prevgrad"])
+    def test_half_of_the_optimizer_state_rejected(self, tmp_path, params,
+                                                  missing):
+        path = tmp_path / "resume.ckpt"
+        cfg = RpropConfig()
+        save_checkpoint(path, params, init_rprop_state(params, cfg), cfg)
+        data = bytearray(path.read_bytes())
+        at = data.index(missing.encode().ljust(8))
+        data[at:at + 8] = b"unknown "  # skipped on read like any unknown tag
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"missing its {missing} section"):
+            load_checkpoint(path)
+
+    def test_repeated_section_rejected(self, tmp_path, params):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 28, 2)
+        path.write_bytes(bytes(data) + bytes(data[32:]))  # params, twice
+        with pytest.raises(ValueError, match="repeats section 'params'"):
             load_checkpoint(path)
