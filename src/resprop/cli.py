@@ -84,6 +84,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     sizes = harness.parse_size_chain(args.arch)
+    if args.batch < 1:
+        raise ValueError(f"batch must be >= 1, got {args.batch}")
     rng = RngStream(args.seed, 0)
     params = init_params(chain_specs(sizes), rng)
     x = rng.uniform(0.0, 1.0, size=(args.batch, sizes[0]))

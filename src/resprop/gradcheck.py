@@ -32,8 +32,8 @@ def finite_difference_gradients(params: NetworkParams, x, labels,
                                 h: float = DEFAULT_H,
                                 mask=None) -> Gradients:
     """Central differences (f(w+h) - f(w-h)) / 2h for every coordinate."""
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
     work = params.copy()
     flat = work.flat
     grads = np.zeros_like(flat)
@@ -63,6 +63,8 @@ def gradient_check(params: NetworkParams, x, labels, h: float = DEFAULT_H,
 
     Relative error per coordinate is |a - f| / max(|a|, |f|, REL_FLOOR).
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     cache = forward(params, x, mask)
     analytic = backward(params, cache, labels, mask)
     numeric = finite_difference_gradients(params, x, labels, h, mask)

@@ -16,13 +16,15 @@ per-seed medians). An ensemble run writes its spec as `spec.txt`.
 CSV formatting is deterministic: epochs as integers, error fractions
 with 4 decimals, elapsed milliseconds with 3, training loss with 17
 significant digits so parsing the file back reproduces the float
-exactly.
+exactly. Both CSVs share one row codec, derived from each table's
+header and row format, and the reader rejects a non-finite value.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
-from dataclasses import Field, dataclass, fields
+from dataclasses import Field, astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -58,6 +60,10 @@ from .training import (
 METRICS_HEADER = "epoch,train_loss,val_err,elapsed_ms"
 RUNS_HEADER = ("seed,best_epoch,best_val_err,test_err,"
                "first_epoch_val_err,time_to_best_ms,total_ms")
+# Each CSV table as (header, `%` format of one row): the one statement of
+# its row format, from which `_to_csv` writes and `_from_csv` reads it.
+_METRICS_CSV = (METRICS_HEADER, "%d,%.17g,%.4f,%.3f")
+_RUNS_CSV = (RUNS_HEADER, "%d,%d,%.4f,%.4f,%.4f,%.3f,%.3f")
 
 CLOCK_NAMES = ("wall", "counter")
 
@@ -147,12 +153,16 @@ class _RunSettings:
                                     self.val_size, self.test_size)
 
     def splits_for(self, splits: Optional[DataSplits]) -> DataSplits:
-        """`splits` (or the configured data) checked against the input width."""
+        """`splits` (or the configured data) checked against `arch`'s ends."""
         splits = self.load_data() if splits is None else splits
         width, have = self.arch[0], splits.train.pixels.shape[1]
         if have != width:
             raise ValueError(f"arch input width {width} does not match the "
                              f"data's {have} values per example")
+        top = max(int(s.labels.max(initial=0)) for s in splits)
+        if top >= self.arch[-1]:
+            raise ValueError(f"arch output size {self.arch[-1]} does not "
+                             f"exceed the data's largest label {top}")
         return splits
 
     def optimizer_config(self):
@@ -382,52 +392,50 @@ def train_run(cfg: ExperimentConfig, seed: int,
     return RunRecord(seed, list(result.rows), result.best_epoch, test_err), result
 
 
+def _to_csv(table, rows) -> str:
+    """`table`'s header, then each dataclass row through its format."""
+    header, row_format = table
+    return "".join(f"{line}\n" for line in
+                   [header] + [row_format % astuple(r) for r in rows])
+
+
+def _from_csv(table, text: str, what: str, row_type) -> list:
+    """Inverse of `_to_csv`: `%d` columns parse as int, others as float;
+    a wrong-width row or a bad or non-finite value is rejected."""
+    header, row_format = table
+    parsers = [int if f == "%d" else float for f in row_format.split(",")]
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != header:
+        raise ValueError(f"{what} CSV must start with {header!r}")
+    rows = []
+    for ln in lines[1:]:
+        try:
+            values = [parse(p) for parse, p in
+                      zip(parsers, ln.split(","), strict=True)]
+        except ValueError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
+            raise ValueError(f"bad {what} row {ln!r}")
+        rows.append(row_type(*values))
+    return rows
+
+
 def export_metrics(record: RunRecord) -> str:
     """Per-epoch CSV; see module docstring for the formatting contract."""
-    lines = [METRICS_HEADER]
-    for row in record.rows:
-        lines.append("%d,%.17g,%.4f,%.3f" % (
-            row.epoch, row.train_loss, row.val_err, row.elapsed_ms))
-    return "\n".join(lines) + "\n"
+    return _to_csv(_METRICS_CSV, record.rows)
 
 
 def parse_metrics(text: str) -> list[EpochRow]:
     """Inverse of export_metrics (modulo the stated decimal quantization)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != METRICS_HEADER:
-        raise ValueError(f"metrics CSV must start with {METRICS_HEADER!r}")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"bad metrics row {ln!r}")
-        rows.append(EpochRow(int(parts[0]), float(parts[1]),
-                             float(parts[2]), float(parts[3])))
-    return rows
+    return _from_csv(_METRICS_CSV, text, "metrics", EpochRow)
 
 
 def export_runs_csv(summaries: Sequence[RunSummary]) -> str:
-    lines = [RUNS_HEADER]
-    for s in summaries:
-        lines.append("%d,%d,%.4f,%.4f,%.4f,%.3f,%.3f" % (
-            s.seed, s.best_epoch, s.best_val_err, s.test_err_at_best,
-            s.first_epoch_val_err, s.time_to_best_ms, s.total_ms))
-    return "\n".join(lines) + "\n"
+    return _to_csv(_RUNS_CSV, summaries)
 
 
 def parse_runs_csv(text: str) -> list[RunSummary]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != RUNS_HEADER:
-        raise ValueError(f"runs CSV must start with {RUNS_HEADER!r}")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"bad runs row {ln!r}")
-        out.append(RunSummary(int(parts[0]), int(parts[1]), float(parts[2]),
-                              float(parts[3]), float(parts[4]),
-                              float(parts[5]), float(parts[6])))
-    return out
+    return _from_csv(_RUNS_CSV, text, "runs", RunSummary)
 
 
 _SUMMARY_COLUMNS = (
@@ -446,15 +454,11 @@ def format_summary_table(rows: Sequence[tuple[str, Sequence[RunSummary]]]) -> st
     for label, summaries in rows:
         if not summaries:
             raise ValueError(f"group {label!r} has no runs")
-        cells = [label]
-        for _, metric in _SUMMARY_COLUMNS:
-            cells.append("%.2f" % statistics.median(metric(s) for s in summaries))
-        table.append(cells)
+        table.append([label] + ["%.2f" % statistics.median(map(metric, summaries))
+                                for _, metric in _SUMMARY_COLUMNS])
     widths = [max(len(r[c]) for r in table) for c in range(len(headers))]
-    lines = []
-    for r in table:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
+                   + "\n" for r in table)
 
 
 @dataclass
@@ -511,11 +515,8 @@ class GroupStats:
             ("first_epoch_val_err", [s.first_epoch_val_err for s in summaries]),
             ("time_to_best_ms", [s.time_to_best_ms for s in summaries]),
         ):
-            metrics[name] = {
-                "mean": statistics.fmean(values),
-                "min": min(values),
-                "max": max(values),
-            }
+            metrics[name] = {"mean": statistics.fmean(values),
+                             "min": min(values), "max": max(values)}
         return cls(label, len(summaries), metrics)
 
 

@@ -116,6 +116,20 @@ def layout(specs) -> list[tuple]:
     return [x for s in specs for x in ((s.fan_in, s.fan_out), (s.fan_out,))]
 
 
+def check_layout(specs, weights, biases, what: str) -> None:
+    """Raises unless `weights` and `biases` have the shapes `specs` give
+    them (see `layout`), naming the first layer that differs."""
+    n = len(specs)
+    if len(weights) != n or len(biases) != n:
+        raise ValueError(f"{what} has {len(weights)}/{len(biases)} weight/bias "
+                         f"arrays for a {n}-layer network")
+    for l, (s, w, b) in enumerate(zip(specs, weights, biases)):
+        if w.shape != (s.fan_in, s.fan_out) or b.shape != (s.fan_out,):
+            raise ValueError(f"{what} shapes {w.shape}/{b.shape} do not match "
+                             f"weight shape {(s.fan_in, s.fan_out)} and bias "
+                             f"shape {(s.fan_out,)} at layer {l}")
+
+
 def flat_views(flat: np.ndarray, shapes) -> tuple[list, list]:
     """(weight views, bias views) of the 1-D buffer `flat`, which holds
     arrays of the `layout` `shapes` end to end."""
@@ -160,18 +174,7 @@ class NetworkParams:
     def __post_init__(self):
         self.specs = tuple(self.specs)
         _check_chain(self.specs)
-        if not (len(self.specs) == len(self.weights) == len(self.biases)):
-            raise ValueError("specs, weights and biases must align")
-        for spec, w, b in zip(self.specs, self.weights, self.biases):
-            if w.shape != (spec.fan_in, spec.fan_out):
-                raise ValueError(
-                    f"weight shape {w.shape} does not match spec "
-                    f"{spec.fan_in}x{spec.fan_out}"
-                )
-            if b.shape != (spec.fan_out,):
-                raise ValueError(
-                    f"bias shape {b.shape} does not match fan_out {spec.fan_out}"
-                )
+        check_layout(self.specs, self.weights, self.biases, "parameter")
         self.flat, self.weights, self.biases = flatten(self.weights, self.biases)
 
     @classmethod
@@ -231,8 +234,9 @@ def parse_init_rule(scale_rule: str):
         return lambda fan_in: 1.0 / np.sqrt(fan_in)
     if scale_rule.startswith("fixed-range:"):
         r = float(scale_rule.split(":", 1)[1])
-        if r < 0:
-            raise ValueError(f"fixed-range needs a non-negative range, got {r}")
+        if not 0 <= r < math.inf:
+            raise ValueError(f"fixed-range needs a finite non-negative range, "
+                             f"got {r}")
         return lambda fan_in: r
     raise ValueError(
         f"unknown scale_rule {scale_rule!r}; "

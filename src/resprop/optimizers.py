@@ -58,15 +58,24 @@ default) the kernel copies its inputs first and never mutates them.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dropout import DropoutMask
-from .network import (Gradients, NetworkParams, check_mask, flat_views, flatten,
-                      layout, locate)
+from .network import (Gradients, NetworkParams, check_layout, check_mask,
+                      flat_views, flatten, layout, locate)
 
 logger = logging.getLogger(__name__)
+
+
+def _check_rate(name: str, value: float) -> None:
+    """Rejects a setting that is not a positive finite number."""
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +83,7 @@ class SgdConfig:
     learning_rate: float = 0.01
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        _check_rate("learning_rate", self.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -96,9 +104,7 @@ class RpropConfig:
 
     def __post_init__(self):
         for name in ("eta_plus", "eta_minus", "delta_max", "delta_min", "delta_init"):
-            v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            _check_rate(name, getattr(self, name))
         if not self.delta_min <= self.delta_init <= self.delta_max:
             raise ValueError(
                 f"need delta_min <= delta_init <= delta_max, got "
@@ -175,34 +181,22 @@ def _check_finite(params: NetworkParams, grads: Gradients) -> None:
     raise ValueError(f"non-finite gradient at layer {layer} {name}, index {idx}")
 
 
-def _check_layout(params: NetworkParams, weights, biases, what: str) -> None:
-    """Raises unless `weights` and `biases` are shaped like `params`'
-    arrays, naming the first layer that differs."""
-    shapes = layout(params.specs)
-    if ([w.shape for w in weights] == shapes[0::2]
-            and [b.shape for b in biases] == shapes[1::2]):
-        return
-    n = params.num_layers
-    if len(weights) != n or len(biases) != n:
-        raise ValueError(f"{what} has {len(weights)}/{len(biases)} weight/bias "
-                         f"arrays for a {n}-layer network")
-    for l, (w, gw, b, gb) in enumerate(zip(params.weights, weights,
-                                           params.biases, biases)):
-        if w.shape != gw.shape or b.shape != gb.shape:
-            raise ValueError(f"{what} shapes {gw.shape}/{gb.shape} do not match "
-                             f"parameter shapes {w.shape}/{b.shape} at layer {l}")
+def _check_state(params: NetworkParams, state: RpropState) -> None:
+    check_layout(params.specs, state.delta_w, state.delta_b, "optimizer step sizes")
+    check_layout(params.specs, state.prev_w, state.prev_b,
+                 "optimizer stored gradients")
 
 
 def sgd_step(params: NetworkParams, grads: Gradients, cfg: SgdConfig, *,
              out: NetworkParams | None = None) -> NetworkParams:
     """w <- w - learning_rate * g, elementwise. Returns the stepped params:
     `out` when given (it may be `params` itself), else a fresh copy."""
-    _check_layout(params, grads.weights, grads.biases, "gradient")
+    check_layout(params.specs, grads.weights, grads.biases, "gradient")
     _check_finite(params, grads)
     if out is None:
         out = params.copy()
     else:
-        _check_layout(params, out.weights, out.biases, "output")
+        check_layout(params.specs, out.weights, out.biases, "output")
     lr = cfg.learning_rate
     w, g, o = params.flat, grads.flat, out.flat
     step = np.empty(min(w.size, _BLOCK_ELEMS))
@@ -317,13 +311,13 @@ def _live_weights(params: NetworkParams, mask: DropoutMask):
 
 
 def _rprop(params, grads, state, cfg, mask, out):
-    _check_layout(params, grads.weights, grads.biases, "gradient")
+    check_layout(params.specs, grads.weights, grads.biases, "gradient")
     _check_state(params, state)
     _check_finite(params, grads)
     if out is None:
         out = (params.copy(), state.copy())
     else:
-        _check_layout(params, out[0].weights, out[0].biases, "output")
+        check_layout(params.specs, out[0].weights, out[0].biases, "output")
         _check_state(params, out[1])
     out_params, out_state = out
     arrays = (params.flat, grads.flat, state.delta, state.prev,
@@ -361,7 +355,3 @@ def dropout_rprop_step(params: NetworkParams, grads: Gradients, state: RpropStat
                          "use rprop_step when training without one")
     return _rprop(params, grads, state, cfg, mask, out)
 
-
-def _check_state(params: NetworkParams, state: RpropState) -> None:
-    _check_layout(params, state.delta_w, state.delta_b, "optimizer step sizes")
-    _check_layout(params, state.prev_w, state.prev_b, "optimizer stored gradients")

@@ -80,6 +80,8 @@ class TestTrain:
         ("init_scale = bogus", "unknown scale_rule 'bogus'; expected "
                                "'uniform-fan-in' or 'fixed-range:R'"),
         ("arch = 784-0-10", "layer dims must be >= 1, got 784x0"),
+        ("arch = 784-20-9", "arch output size 9 does not exceed the data's "
+                            "largest label 9"),
     ])
     def test_empty_split_exits_2_before_any_output(self, config_path, tmp_path,
                                                    capsys, line, message):
@@ -117,6 +119,36 @@ class TestTrain:
         rc = main(["train", "--config", str(bad)])
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
+
+
+# train reads the config values; gradcheck takes its own flags
+@pytest.mark.parametrize("args,message", [
+    ("learning_rate = inf", "learning_rate must be finite, got inf"),
+    ("init_scale = fixed-range:nan",
+     "fixed-range needs a finite non-negative range, got nan"),
+    ("init_scale = fixed-range:inf",
+     "fixed-range needs a finite non-negative range, got inf"),
+    ("optimizer = rprop\neta_minus = inf", "eta_minus must be finite, got inf"),
+    ("optimizer = rprop\neta_plus = inf", "eta_plus must be finite, got inf"),
+    ("gradcheck --h nan", "step h must be positive and finite, got nan"),
+    ("gradcheck --tol nan", "tol must be >= 0, got nan"),
+    ("gradcheck --batch 0", "batch must be >= 1, got 0"),
+])
+def test_non_finite_or_zero_value_exits_2(config_path, tmp_path,
+                                          capsys, args, message):
+    out = tmp_path / "exp"
+    if args.startswith("gradcheck "):
+        argv = ["gradcheck", "--arch", "12-8-5"] + args.split()[1:]
+    else:
+        settings = dict(ln.split(" = ", 1)
+                        for ln in config_path.read_text().splitlines())
+        settings.update(ln.split(" = ", 1) for ln in args.split("\n"))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        argv = ["train", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestEvaluate:
@@ -228,6 +260,10 @@ class TestEnsemble:
         ("arch = 784-0-10", "layer dims must be >= 1, got 784x0"),
         ("kind = stacking\nstacker_hidden = 20-0",
          "layer dims must be >= 1, got 20x0"),
+        ("arch = 784-16-9", "arch output size 9 does not exceed the data's "
+                            "largest label 9"),
+        ("kind = stacking\narch = 784-16-9",
+         "arch output size 9 does not exceed the data's largest label 9"),
     ])
     def test_bad_setting_exits_2_before_any_output(self, corpus_dir, tmp_path,
                                                    capsys, line, message):
@@ -274,6 +310,16 @@ class TestCompare:
                    "--b", str(tmp_path / "b")])
         assert rc == 0
         assert "not significant" in capsys.readouterr().out
+
+    def test_non_finite_errors_exit_2(self, tmp_path, capsys):
+        write_runs_dir(tmp_path / "a", [0.1, 0.2, float("nan"), 0.3,
+                                        float("inf"), 0.4])
+        write_runs_dir(tmp_path / "b", [0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+        rc = main(["compare", "--a", str(tmp_path / "a"),
+                   "--b", str(tmp_path / "b")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: bad runs row '3,1,nan,nan,nan,1000.000,1000.000'\n")
 
     def test_missing_dir_exits_2(self, tmp_path, capsys):
         write_runs_dir(tmp_path / "a", [0.1, 0.2])

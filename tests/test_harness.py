@@ -242,6 +242,13 @@ class TestMetricsCsv:
         with pytest.raises(ValueError, match="bad metrics row"):
             parse_metrics(METRICS_HEADER + "\n1,0.5,0.1\n")
 
+    @pytest.mark.parametrize("row", ["1,nan,0.1,1.0", "1,0.5,inf,1.0",
+                                     "1,0.5,0.1,-inf", "1.5,0.5,0.1,1.0",
+                                     "1,0.5,x,1.0"])
+    def test_non_finite_or_malformed_value_rejected(self, row):
+        with pytest.raises(ValueError, match="bad metrics row"):
+            parse_metrics(METRICS_HEADER + "\n" + row + "\n")
+
 
 class TestRunsCsv:
     def test_round_trip(self):
@@ -265,6 +272,12 @@ class TestRunsCsv:
     def test_bad_row_rejected(self):
         with pytest.raises(ValueError, match="bad runs row"):
             parse_runs_csv(RUNS_HEADER + "\n1,2,3\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_error_rejected(self, value):
+        row = f"1,2,0.1000,{value},0.5000,2000.000,4000.000"
+        with pytest.raises(ValueError, match="bad runs row"):
+            parse_runs_csv(RUNS_HEADER + "\n" + row + "\n")
 
 
 class TestSummaryTable:

@@ -58,6 +58,15 @@ class TestLayerSpec:
         with pytest.raises(ValueError, match="weight shape"):
             NetworkParams((LayerSpec(2, 3),), [np.zeros((3, 2))], [np.zeros(3)])
 
+    def test_layout_errors_name_the_layer(self):
+        specs = (LayerSpec(2, 3), LayerSpec(3, 2))
+        with pytest.raises(ValueError, match="bias shape \\(2,\\) at layer 1"):
+            NetworkParams(specs, [np.zeros((2, 3)), np.zeros((3, 2))],
+                          [np.zeros(3), np.zeros(3)])
+        with pytest.raises(ValueError, match="1/2 weight/bias arrays for a "
+                                             "2-layer network"):
+            NetworkParams(specs, [np.zeros((2, 3))], [np.zeros(3), np.zeros(2)])
+
 
 class TestInitParams:
     def test_deterministic(self):
