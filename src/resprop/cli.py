@@ -10,8 +10,8 @@
 train runs every seed in the config (or just --seed) and writes metrics
 CSVs, checkpoints, runs.csv and summary.txt into the output directory.
 evaluate scores a saved checkpoint on a directory's test files. compare
-reads two runs.csv files, pairs runs by position and prints the
-Wilcoxon verdict. gradcheck compares analytic with finite-difference
+reads two runs.csv files, pairs runs by seed and prints the Wilcoxon
+verdict. gradcheck compares analytic with finite-difference
 gradients on a random network and exits nonzero on failure. synth
 writes a deterministic synthetic digit corpus in IDX format, for
 running the toolkit where the real handwriting corpus is not on disk.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -86,7 +87,10 @@ def read_idx(path) -> np.ndarray:
     """Read an IDX file, decompressing gzip transparently."""
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise IdxFormatError(f"corrupt gzip file {path}: {exc}") from None
     return parse_idx(raw)
 
 

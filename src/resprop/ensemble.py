@@ -9,7 +9,8 @@ members on the training set itself, then fits a second network on the
 members' concatenated output probabilities. The stacker is fitted on
 member outputs over the validation set (fitting it on member training
 outputs invites leakage; the fitting set is a documented knob of this
-implementation) and its hidden sizes default to (200 * N, 100 * N).
+implementation). Its hidden sizes default to (200 * N, 100 * N); they,
+its epoch cap and its hidden dropout rate are `train_ensemble` arguments.
 
 Members are independent: member i draws from RNG stream base
 MEMBER_STREAM_STRIDE * (i + 1), the stacker from the base after the
@@ -20,9 +21,9 @@ lowest class index.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,25 +83,17 @@ class EnsembleSpec:
         return self.member_sizes[-1]
 
 
-@dataclass(frozen=True)
-class StackerSpec:
-    """Second-space network: hidden sizes, epoch cap, trained mod-rprop."""
+# EnsembleSpec's fields, in the order `ensemble.json` lists them.
+_SPEC_KEYS = tuple(f.name for f in fields(EnsembleSpec))
 
-    hidden_sizes: tuple[int, ...]
-    epoch_cap: int = 200
 
-    def __post_init__(self):
-        if self.epoch_cap < 1:
-            raise ValueError(f"stacker epoch cap must be >= 1, got {self.epoch_cap}")
-        object.__setattr__(self, "hidden_sizes",
-                           tuple(int(s) for s in self.hidden_sizes))
-
-    @classmethod
-    def for_members(cls, n_members: int, epoch_cap: int = 200) -> "StackerSpec":
-        return cls((200 * n_members, 100 * n_members), epoch_cap)
-
-    def size_chain(self, n_members: int, n_classes: int) -> tuple[int, ...]:
-        return (n_members * n_classes,) + self.hidden_sizes + (n_classes,)
+def stacker_chain(n_members: int, n_classes: int,
+                  hidden: Optional[Sequence[int]] = None) -> tuple[int, ...]:
+    """The stacker's size chain: the members' concatenated outputs in,
+    `hidden` (default (200 * n_members, 100 * n_members)), classes out."""
+    if hidden is None:
+        hidden = (200 * n_members, 100 * n_members)
+    return (n_members * n_classes, *(int(s) for s in hidden), n_classes)
 
 
 def bootstrap_resample(n: int, rng: RngStream) -> np.ndarray:
@@ -202,53 +195,60 @@ def member_stream_base(index: int) -> int:
 def train_ensemble(spec: EnsembleSpec, splits: DataSplits, opt_cfg: RpropConfig,
                    *, seed: int, batch_size: int = 128,
                    member_dropout: Optional[DropoutSpec] = None,
-                   stacker_spec: Optional[StackerSpec] = None,
-                   stacker_dropout: Optional[DropoutSpec] = None,
+                   stacker_hidden: Optional[Sequence[int]] = None,
+                   stacker_epoch_cap: int = 200,
+                   stacker_dropout_hidden: float = 0.0,
                    init_scale: str = "uniform-fan-in",
                    clock=None) -> EnsembleTraining:
     """Train all members (and the stacker, for stacking ensembles).
 
-    Members train with mod-rprop under `opt_cfg`; bagging members each
-    see their own bootstrap resample, given to `train_model` as row
-    indices into `splits.train`, stacking members the training set
-    itself. Every member is model-selected on the validation set. The
-    stacker fits member outputs on the validation set against the
-    validation labels.
+    Members train with mod-rprop under `opt_cfg` and `member_dropout`,
+    bagging members each on their own bootstrap resample (row indices
+    into `splits.train`), stacking members on the training set itself;
+    each is model-selected on the validation set. The stacker, chain
+    `stacker_chain(spec.size, spec.num_classes, stacker_hidden)`, trains
+    likewise for at most `stacker_epoch_cap` epochs at hidden dropout
+    rate `stacker_dropout_hidden`, fitting member outputs on the
+    validation set to its labels. A stacking spec's stacker settings are
+    checked before any member trains; a bagging spec ignores them.
     """
+    if spec.kind == "stacking":
+        if stacker_epoch_cap < 1:
+            raise ValueError(
+                f"stacker epoch cap must be >= 1, got {stacker_epoch_cap}")
+        chain = stacker_chain(spec.size, spec.num_classes, stacker_hidden)
+        stacker_layers = chain_specs(chain)
+        stacker_dropout = DropoutSpec.for_sizes(chain, stacker_dropout_hidden, 0.0)
+
+    def train_net(i, layers, train, validation, epoch_cap, dropout, rows=None):
+        """Network i (the stacker is i = spec.size) from its stream base."""
+        base = member_stream_base(i)
+        params = init_params(layers, RngStream(seed, base + STREAM_INIT),
+                             init_scale)
+        return train_model(
+            params, train, validation, "mod-rprop", opt_cfg,
+            epoch_cap=epoch_cap, batch_size=batch_size, seed=seed,
+            stream_base=base, dropout=dropout, clock=clock, rows=rows,
+        )
+
+    member_layers = chain_specs(spec.member_sizes)
     member_results: list[TrainResult] = []
     for i in range(spec.size):
-        base = member_stream_base(i)
-        init_rng = RngStream(seed, base + STREAM_INIT)
-        params = init_params(chain_specs(spec.member_sizes), init_rng, init_scale)
         rows = None
         if spec.kind == "bagging":
-            resample_rng = RngStream(seed, base + STREAM_RESAMPLE)
-            rows = bootstrap_resample(len(splits.train), resample_rng)
-        result = train_model(
-            params, splits.train, splits.validation, "mod-rprop", opt_cfg,
-            epoch_cap=spec.member_epoch_cap, batch_size=batch_size,
-            seed=seed, stream_base=base, dropout=member_dropout, clock=clock,
-            rows=rows,
-        )
-        member_results.append(result)
+            rows = bootstrap_resample(len(splits.train), RngStream(
+                seed, member_stream_base(i) + STREAM_RESAMPLE))
+        member_results.append(train_net(
+            i, member_layers, splits.train, splits.validation,
+            spec.member_epoch_cap, member_dropout, rows))
 
     members = [r.best_params for r in member_results]
-    stacker_result = None
-    stacker = None
+    stacker_result = stacker = None
     if spec.kind == "stacking":
-        if stacker_spec is None:
-            stacker_spec = StackerSpec.for_members(spec.size)
-        base = member_stream_base(spec.size)
-        chain = stacker_spec.size_chain(spec.size, spec.num_classes)
-        init_rng = RngStream(seed, base + STREAM_INIT)
-        stacker_params = init_params(chain_specs(chain), init_rng, init_scale)
         probs = networks_probabilities(members, splits.validation)
         stack_data = Dataset(stack_features(probs), splits.validation.labels)
-        stacker_result = train_model(
-            stacker_params, stack_data, stack_data, "mod-rprop", opt_cfg,
-            epoch_cap=stacker_spec.epoch_cap, batch_size=batch_size,
-            seed=seed, stream_base=base, dropout=stacker_dropout, clock=clock,
-        )
+        stacker_result = train_net(spec.size, stacker_layers, stack_data,
+                                   stack_data, stacker_epoch_cap, stacker_dropout)
         stacker = stacker_result.best_params
 
     model = EnsembleModel(spec, members, stacker)
@@ -260,23 +260,16 @@ def save_ensemble(out_dir, training: EnsembleTraining, *, seed: int) -> Path:
     the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = training.model.spec
-    member_files = []
-    for i, params in enumerate(training.model.members):
-        name = f"member-{i:02d}.ckpt"
-        serialization.save_checkpoint(out_dir / name, params)
-        member_files.append(name)
-    stacker_file = None
-    if training.model.stacker is not None:
-        stacker_file = "stacker.ckpt"
-        serialization.save_checkpoint(out_dir / stacker_file,
-                                      training.model.stacker)
+    model = training.model
+    spec = model.spec
+    member_files = [f"member-{i:02d}.ckpt" for i in range(spec.size)]
+    stacker_file = None if model.stacker is None else "stacker.ckpt"
+    for name, params in zip(member_files + [stacker_file],
+                            model.members + [model.stacker]):
+        if params is not None:
+            serialization.save_checkpoint(out_dir / name, params)
     manifest = {
-        "kind": spec.kind,
-        "size": spec.size,
-        "member_sizes": list(spec.member_sizes),
-        "member_epoch_cap": spec.member_epoch_cap,
-        "aggregation": spec.aggregation,
+        **{key: getattr(spec, key) for key in _SPEC_KEYS},
         "seed": seed,
         "member_checkpoints": member_files,
         "member_stream_bases": [member_stream_base(i) for i in range(spec.size)],
@@ -293,23 +286,15 @@ def load_ensemble(ens_dir) -> EnsembleModel:
     ens_dir = Path(ens_dir)
     manifest = json.loads((ens_dir / MANIFEST_NAME).read_text())
     try:
-        spec = EnsembleSpec(
-            kind=manifest["kind"],
-            size=manifest["size"],
-            member_sizes=tuple(manifest["member_sizes"]),
-            member_epoch_cap=manifest["member_epoch_cap"],
-            aggregation=manifest["aggregation"],
-        )
+        spec = EnsembleSpec(*(manifest[key] for key in _SPEC_KEYS))
         member_names = manifest["member_checkpoints"]
     except KeyError as exc:
         raise ValueError(f"ensemble manifest {ens_dir / MANIFEST_NAME} "
                          f"is missing key {exc}") from None
-    members = []
-    for name in member_names:
-        params, _, _ = serialization.load_checkpoint(ens_dir / name)
-        members.append(params)
+    members = [serialization.load_checkpoint(ens_dir / name)[0]
+               for name in member_names]
     stacker = None
     if manifest.get("stacker_checkpoint"):
-        stacker, _, _ = serialization.load_checkpoint(
-            ens_dir / manifest["stacker_checkpoint"])
+        stacker = serialization.load_checkpoint(
+            ens_dir / manifest["stacker_checkpoint"])[0]
     return EnsembleModel(spec, members, stacker)

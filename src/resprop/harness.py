@@ -35,8 +35,8 @@ from .dropout import DropoutSpec
 from .ensemble import (
     EnsembleSpec,
     EnsembleTraining,
-    StackerSpec,
     save_ensemble,
+    stacker_chain,
     train_ensemble,
 )
 from .network import chain_specs, init_params, parse_init_rule
@@ -121,8 +121,8 @@ class _RunSettings:
     def _check(self, counts: tuple[str, ...], rates: tuple[str, ...] = ()) -> None:
         """`batch_size` and the kind's `counts` >= 1, both dropout rates
         and the kind's `rates` in [0, 1), valid split sizes, clock, init
-        rule and optimizer settings; called once from each config's
-        __post_init__."""
+        rule and Rprop settings (whichever optimizer runs); called once
+        from each config's __post_init__."""
         for name in counts + ("batch_size",):
             value = getattr(self, name)
             if value < 1:
@@ -141,7 +141,7 @@ class _RunSettings:
             raise ValueError(f"clock must be one of {CLOCK_NAMES}, "
                              f"got {self.clock!r}")
         parse_init_rule(self.init_scale)
-        self.optimizer_config()
+        _RunSettings.optimizer_config(self)
 
     def clock_fn(self):
         return wall_clock if self.clock == "wall" else counter_clock()
@@ -201,6 +201,7 @@ class ExperimentConfig(_RunSettings):
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
         self._check(("epochs",))
+        SgdConfig(self.learning_rate)  # checked whichever optimizer runs
 
     def layer_specs(self):
         return chain_specs(self.sizes, self.activation)
@@ -242,28 +243,12 @@ class EnsembleRunConfig(_RunSettings):
         self.ensemble_spec()  # checks kind and aggregation
         chain_specs(self.member_sizes)  # checks the member sizes
         if self.kind == "stacking":
-            chain_specs(self.stacker_spec().size_chain(
-                self.size, self.member_sizes[-1]))
+            chain_specs(stacker_chain(self.size, self.member_sizes[-1],
+                                      self.stacker_hidden))
 
     def ensemble_spec(self) -> EnsembleSpec:
         return EnsembleSpec(self.kind, self.size, self.member_sizes,
                             self.member_epochs, self.aggregation)
-
-    def stacker_spec(self) -> Optional[StackerSpec]:
-        if self.kind != "stacking":
-            return None
-        if self.stacker_hidden is not None:
-            return StackerSpec(self.stacker_hidden, self.stacker_epochs)
-        return StackerSpec.for_members(self.size, self.stacker_epochs)
-
-    member_dropout = _RunSettings.dropout_spec
-
-    def stacker_dropout(self) -> Optional[DropoutSpec]:
-        if self.kind != "stacking" or self.stacker_dropout_hidden == 0.0:
-            return None
-        chain = self.stacker_spec().size_chain(
-            self.size, self.member_sizes[-1])
-        return DropoutSpec.for_sizes(chain, self.stacker_dropout_hidden, 0.0)
 
 
 def _optional(parse):
@@ -545,12 +530,18 @@ def compare_runs(summaries_a: Sequence[RunSummary],
                  summaries_b: Sequence[RunSummary],
                  confidence: float = 0.98,
                  label_a: str = "A", label_b: str = "B") -> ComparisonResult:
-    """Paired comparison on test errors; pairing is by position."""
+    """Paired comparison on test errors; runs are paired by seed."""
     if len(summaries_a) != len(summaries_b):
         raise ValueError(
             f"paired comparison needs equal run counts, got "
             f"{len(summaries_a)} and {len(summaries_b)}"
         )
+    seeds, by_seed = [s.seed for s in summaries_a], {s.seed: s for s in summaries_b}
+    if len(set(seeds)) != len(seeds) or set(seeds) != by_seed.keys():
+        raise ValueError(f"paired comparison needs the same distinct seeds on "
+                         f"both sides, got {seeds} and "
+                         f"{[s.seed for s in summaries_b]}")
+    summaries_b = [by_seed[seed] for seed in seeds]
     if len(summaries_a) < 2:
         raise ValueError("paired comparison needs at least 2 runs per side")
     if not 0.0 < confidence < 1.0:
@@ -577,8 +568,9 @@ def run_ensemble(cfg: EnsembleRunConfig, splits: Optional[DataSplits] = None,
     splits = cfg.splits_for(splits)
     training = train_ensemble(
         cfg.ensemble_spec(), splits, cfg.optimizer_config(), seed=cfg.seed,
-        batch_size=cfg.batch_size, member_dropout=cfg.member_dropout(),
-        stacker_spec=cfg.stacker_spec(), stacker_dropout=cfg.stacker_dropout(),
+        batch_size=cfg.batch_size, member_dropout=cfg.dropout_spec(),
+        stacker_hidden=cfg.stacker_hidden, stacker_epoch_cap=cfg.stacker_epochs,
+        stacker_dropout_hidden=cfg.stacker_dropout_hidden,
         init_scale=cfg.init_scale, clock=cfg.clock_fn(),
     )
     model, test = training.model, splits.test

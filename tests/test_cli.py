@@ -1,5 +1,7 @@
 """End-to-end CLI tests driving main() with real files."""
 
+import gzip
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,14 @@ class TestTrain:
      "fixed-range needs a finite non-negative range, got inf"),
     ("optimizer = rprop\neta_minus = inf", "eta_minus must be finite, got inf"),
     ("optimizer = rprop\neta_plus = inf", "eta_plus must be finite, got inf"),
+    # every optimizer value is checked, whichever optimizer runs
+    ("eta_plus = inf", "eta_plus must be finite, got inf"),
+    ("delta_min = 5", "need delta_min <= delta_init <= delta_max, got "
+                      "5.0, 0.1, 50.0"),
+    ("optimizer = rprop\nlearning_rate = inf",
+     "learning_rate must be finite, got inf"),
+    ("optimizer = rprop\nlearning_rate = -1",
+     "learning_rate must be > 0, got -1.0"),
     ("gradcheck --h nan", "step h must be positive and finite, got nan"),
     ("gradcheck --tol nan", "tol must be >= 0, got nan"),
     ("gradcheck --batch 0", "batch must be >= 1, got 0"),
@@ -182,6 +192,24 @@ class TestEvaluate:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_truncated_gzip_test_images_exit_2(self, config_path, corpus_dir,
+                                               tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in corpus_dir.iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        packed = next(data.glob("t10k-images*"))
+        packed = packed.rename(packed.with_name("t10k-images-idx3-ubyte.gz"))
+        packed.write_bytes(gzip.compress(packed.read_bytes())[:-20])
+        model = tmp_path / "m.ckpt"
+        save_checkpoint(model, init_params(chain_specs((784, 10)),
+                                           RngStream(1, 0)))
+        rc = main(["evaluate", "--model", str(model), "--data", str(data)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: corrupt gzip file {packed}: ")
+        assert err.count("\n") == 1
 
     def test_every_truncated_checkpoint_exits_2(self, corpus_dir, tmp_path,
                                                 capsys):
@@ -282,10 +310,11 @@ class TestEnsemble:
         assert not out.exists()
 
 
-def write_runs_dir(path, errs):
+def write_runs_dir(path, errs, seeds=None):
     path.mkdir(parents=True)
-    rows = [RunSummary(i + 1, 1, e, e, e, 1000.0, 1000.0)
-            for i, e in enumerate(errs)]
+    seeds = range(1, len(errs) + 1) if seeds is None else seeds
+    rows = [RunSummary(seed, 1, e, e, e, 1000.0, 1000.0)
+            for seed, e in zip(seeds, errs, strict=True)]
     (path / "runs.csv").write_text(export_runs_csv(rows))
 
 
@@ -310,6 +339,31 @@ class TestCompare:
                    "--b", str(tmp_path / "b")])
         assert rc == 0
         assert "not significant" in capsys.readouterr().out
+
+    def test_runs_are_paired_by_seed(self, tmp_path, capsys):
+        errs_a = [0.10, 0.30, 0.20, 0.50, 0.40, 0.60]
+        errs_b = [0.15, 0.33, 0.22, 0.56, 0.39, 0.70]
+        write_runs_dir(tmp_path / "a", errs_a)
+        write_runs_dir(tmp_path / "b", errs_b)
+        write_runs_dir(tmp_path / "rev", errs_b[::-1], seeds=range(6, 0, -1))
+        verdicts = []
+        for b in ("b", "rev"):
+            assert main(["compare", "--a", str(tmp_path / "a"),
+                         "--b", str(tmp_path / b)]) == 0
+            out = capsys.readouterr().out
+            verdicts.append([ln for ln in out.splitlines() if "W+" in ln])
+        assert verdicts[0] == verdicts[1]
+        assert "W+ = 1, p = 0.0625 (exact, n = 6)" in verdicts[0][0]
+
+    def test_disjoint_seeds_exit_2(self, tmp_path, capsys):
+        write_runs_dir(tmp_path / "a", [0.1, 0.2, 0.3])
+        write_runs_dir(tmp_path / "b", [0.1, 0.2, 0.3], seeds=[4, 5, 6])
+        rc = main(["compare", "--a", str(tmp_path / "a"),
+                   "--b", str(tmp_path / "b")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: paired comparison needs the same distinct seeds on both "
+            "sides, got [1, 2, 3] and [4, 5, 6]\n")
 
     def test_non_finite_errors_exit_2(self, tmp_path, capsys):
         write_runs_dir(tmp_path / "a", [0.1, 0.2, float("nan"), 0.3,

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -105,6 +106,24 @@ class TestReadIdx:
         a, b = read_idx(plain), read_idx(packed)
         assert (a == b).all()
         assert a.shape == (2, 28, 28)
+
+    def test_truncated_gzip_names_the_file(self, tmp_path):
+        packed = tmp_path / "cut-idx.gz"
+        packed.write_bytes(gzip.compress(image_fixture())[:-20])
+        with pytest.raises(IdxFormatError,
+                           match=f"corrupt gzip file {re.escape(str(packed))}: "
+                                 f"Compressed file ended"):
+            read_idx(packed)
+
+    def test_damaged_deflate_block_names_the_file(self, tmp_path):
+        data = bytearray(gzip.compress(image_fixture()))
+        data[10] = 0xFF  # the first block's header: reserved block type 3
+        packed = tmp_path / "bad-idx.gz"
+        packed.write_bytes(bytes(data))
+        with pytest.raises(IdxFormatError,
+                           match=f"corrupt gzip file {re.escape(str(packed))}: "
+                                 f"Error -3 "):
+            read_idx(packed)
 
 
 class TestDataset:

@@ -8,19 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resprop import ensemble
 from resprop.data import Dataset, DataSplits
 from resprop.dropout import DropoutSpec
 from resprop.ensemble import (
     MANIFEST_NAME,
     EnsembleModel,
     EnsembleSpec,
-    StackerSpec,
     aggregate,
     bootstrap_resample,
     load_ensemble,
     member_stream_base,
     save_ensemble,
     stack_features,
+    stacker_chain,
     train_ensemble,
 )
 from resprop.network import chain_specs, init_params
@@ -85,19 +86,46 @@ class TestEnsembleSpec:
             EnsembleSpec("bagging", 3, (16, 8, 10), 2, "mean-rank")
 
 
-class TestStackerSpec:
+class TestStackerChain:
     def test_default_hidden_sizes_scale_with_members(self):
-        spec = StackerSpec.for_members(3)
-        assert spec.hidden_sizes == (600, 300)
-        assert StackerSpec.for_members(10).hidden_sizes == (2000, 1000)
+        assert stacker_chain(3, 10) == (30, 600, 300, 10)
+        assert stacker_chain(10, 10)[1:-1] == (2000, 1000)
 
     def test_size_chain(self):
-        spec = StackerSpec((8, 4), epoch_cap=5)
-        assert spec.size_chain(n_members=2, n_classes=10) == (20, 8, 4, 10)
+        assert stacker_chain(n_members=2, n_classes=10,
+                             hidden=(8, 4)) == (20, 8, 4, 10)
 
-    def test_epoch_cap_validated(self):
-        with pytest.raises(ValueError, match="epoch cap must be >= 1"):
-            StackerSpec((8,), epoch_cap=0)
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def train_model(*args, **kwargs):
+            raise AssertionError("a network trained")
+
+        monkeypatch.setattr(ensemble, "train_model", train_model)
+
+    def test_epoch_cap_validated(self, no_training):
+        spec = EnsembleSpec("stacking", 2, (16, 8, 10), 1)
+        with pytest.raises(ValueError,
+                           match="stacker epoch cap must be >= 1, got 0"):
+            train_ensemble(spec, toy_splits(), RpropConfig(), seed=1,
+                           batch_size=8, stacker_hidden=(8,),
+                           stacker_epoch_cap=0)
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"stacker_hidden": (8, 0)}, "layer dims must be >= 1, got 8x0"),
+        ({"stacker_dropout_hidden": 1.0}, "dropout rate must lie in"),
+    ])
+    def test_bad_stacker_setting_raises_before_any_member_trains(
+            self, no_training, settings, message):
+        spec = EnsembleSpec("stacking", 2, (16, 8, 10), 1)
+        with pytest.raises(ValueError, match=message):
+            train_ensemble(spec, toy_splits(), RpropConfig(), seed=1,
+                           batch_size=8, **settings)
+
+    def test_bagging_ignores_stacker_settings(self):
+        t = train_ensemble(bagging_spec(size=1, epochs=1), toy_splits(),
+                           RpropConfig(), seed=1, batch_size=8,
+                           stacker_epoch_cap=0)
+        assert t.stacker_result is None and t.model.stacker is None
 
 
 class TestBootstrapResample:
@@ -263,9 +291,8 @@ class TestTrainEnsemble:
     def test_stacking_trains_second_space_net(self):
         splits = toy_splits()
         spec = EnsembleSpec("stacking", 2, (16, 8, 10), 2)
-        stk = StackerSpec((8,), epoch_cap=2)
         t = train_ensemble(spec, splits, RpropConfig(), seed=5, batch_size=8,
-                           stacker_spec=stk)
+                           stacker_hidden=(8,), stacker_epoch_cap=2)
         assert t.model.stacker is not None
         assert t.stacker_result is not None
         # 2 members x 10 classes in, one hidden layer of 8, 10 out
@@ -273,6 +300,34 @@ class TestTrainEnsemble:
         preds = t.model.predict(splits.test.images)
         assert preds.shape == (len(splits.test),)
         assert preds.min() >= 0 and preds.max() <= 9
+
+    def test_stacker_dropout_matches_hand_built_training(self):
+        splits = toy_splits()
+        spec = EnsembleSpec("stacking", 2, (16, 8, 10), 2)
+        cfg = RpropConfig(delta_init=0.01)
+
+        def build(rate):
+            return train_ensemble(spec, splits, cfg, seed=6, batch_size=8,
+                                  stacker_hidden=(8,), stacker_epoch_cap=3,
+                                  stacker_dropout_hidden=rate,
+                                  clock=counter_clock())
+
+        got = build(0.5)
+        base = member_stream_base(spec.size)
+        params = init_params(chain_specs((20, 8, 10)),
+                             RngStream(6, base + STREAM_INIT))
+        features = stack_features(
+            got.model.member_probabilities(splits.validation))
+        stack_data = Dataset(features, splits.validation.labels)
+        want = train_model(params, stack_data, stack_data, "mod-rprop", cfg,
+                           epoch_cap=3, batch_size=8, seed=6, stream_base=base,
+                           dropout=DropoutSpec.for_sizes((20, 8, 10), 0.5, 0.0),
+                           clock=counter_clock())
+        assert result_arrays(got.stacker_result) == result_arrays(want)
+        assert got.stacker_result.rows == want.rows
+        # the rate reaches training: without it the stacker trains otherwise
+        assert (result_arrays(build(0.0).stacker_result)
+                != result_arrays(got.stacker_result))
 
     def test_member_stream_bases_disjoint(self):
         bases = [member_stream_base(i) for i in range(4)]
@@ -373,7 +428,7 @@ class TestSaveLoad:
         splits = toy_splits()
         spec = EnsembleSpec("stacking", 2, (16, 8, 10), 2)
         t = train_ensemble(spec, splits, RpropConfig(), seed=4, batch_size=8,
-                           stacker_spec=StackerSpec((8,), epoch_cap=2))
+                           stacker_hidden=(8,), stacker_epoch_cap=2)
         save_ensemble(tmp_path, t, seed=4)
         model = load_ensemble(tmp_path)
         assert model.stacker is not None

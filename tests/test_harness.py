@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from resprop import harness
 from resprop.data import Dataset, DataSplits
-from resprop.ensemble import StackerSpec
+from resprop.ensemble import stacker_chain
 from resprop.harness import (
     METRICS_HEADER,
     RUNS_HEADER,
@@ -317,6 +318,25 @@ class TestCompareRuns:
         with pytest.raises(ValueError, match="equal run counts"):
             compare_runs(a, b)
 
+    def test_runs_are_paired_by_seed(self):
+        a = summaries_from_errs([0.10, 0.30, 0.20, 0.50, 0.40, 0.60])
+        b = summaries_from_errs([0.15, 0.33, 0.22, 0.56, 0.39, 0.70])
+        ordered = compare_runs(a, b)
+        shuffled = compare_runs(a, b[::-1])
+        assert shuffled.wilcoxon == ordered.wilcoxon
+        assert shuffled.stats_b == ordered.stats_b
+        # only seed 5 has A worse: W+ is the rank of its |difference|, 1
+        assert shuffled.wilcoxon.statistic == 1.0
+
+    @pytest.mark.parametrize("seeds_b", [(1, 2, 4), (1, 2, 2)])
+    def test_differing_seeds_rejected(self, seeds_b):
+        a = summaries_from_errs([0.1, 0.2, 0.3])
+        b = [dataclasses.replace(s, seed=seed)
+             for s, seed in zip(a, seeds_b)]
+        with pytest.raises(ValueError, match=r"same distinct seeds on both "
+                           r"sides, got \[1, 2, 3\] and \[1, 2, "):
+            compare_runs(a, b)
+
     def test_too_few_runs_rejected(self):
         a = summaries_from_errs([0.1])
         with pytest.raises(ValueError, match="at least 2 runs"):
@@ -459,7 +479,7 @@ class TestEnsembleConfig:
         assert cfg.member_sizes == (784, 300, 100, 10)
         assert cfg.aggregation == "probability-average"
 
-    def test_parse_and_specs(self):
+    def test_parse_and_specs(self, monkeypatch):
         cfg = parse_ensemble_config(
             "kind = stacking\nsize = 4\narch = 16-8-10\n"
             "stacker_epochs = 50\nmember_epochs = 2\n"
@@ -467,15 +487,32 @@ class TestEnsembleConfig:
         spec = cfg.ensemble_spec()
         assert spec.kind == "stacking" and spec.size == 4
         assert spec.member_sizes == (16, 8, 10)
-        stacker = cfg.stacker_spec()
-        assert stacker is not None and stacker.epoch_cap == 50
+
+        class Stop(Exception):
+            pass
+
+        def capture(*args, **kwargs):
+            stacker.update(kwargs)
+            raise Stop
+
+        stacker = {}  # what run_ensemble hands train_ensemble
+        monkeypatch.setattr(harness, "train_ensemble", capture)
+        with pytest.raises(Stop):
+            run_ensemble(cfg, toy_splits(), save=False)
+        assert stacker["stacker_epoch_cap"] == 50
+        assert stacker["stacker_hidden"] is None
+        assert stacker["stacker_dropout_hidden"] == 0.0
+        assert stacker["member_dropout"] == cfg.dropout_spec()
 
     def test_bagging_has_no_stacker(self):
-        assert parse_ensemble_config("kind = bagging\n").stacker_spec() is None
+        cfg = parse_ensemble_config("kind = bagging\nsize = 1\narch = 16-8-10\n"
+                                    "member_epochs = 1\nbatch_size = 8\n")
+        training = run_ensemble(cfg, toy_splits(), save=False).training
+        assert training.stacker_result is None and training.model.stacker is None
 
     def test_stacker_hidden_override(self):
         cfg = parse_ensemble_config("kind = stacking\nstacker_hidden = 32-16\n")
-        assert cfg.stacker_spec().hidden_sizes == (32, 16)
+        assert stacker_chain(cfg.size, 10, cfg.stacker_hidden) == (30, 32, 16, 10)
 
     def test_stacker_chain_checked_when_read(self):
         with pytest.raises(ValueError, match="got 20x0"):
@@ -495,8 +532,8 @@ class TestEnsembleConfig:
 
     def test_member_dropout_off_when_rates_zero(self):
         cfg = parse_ensemble_config("dropout_hidden = 0\n")
-        assert cfg.member_dropout() is None
-        assert parse_ensemble_config("").member_dropout() is not None
+        assert cfg.dropout_spec() is None
+        assert parse_ensemble_config("").dropout_spec() is not None
 
     def test_optimizer_config_fields(self):
         cfg = parse_ensemble_config("delta_init = 0.003\ndelta_max = 5\n")
@@ -626,7 +663,7 @@ class TestConfigSchema:
         with pytest.raises(ValueError, match="leave it empty for the "
                                              "default stacker"):
             EnsembleRunConfig(kind="stacking", stacker_hidden=())
-        assert StackerSpec((), 5).size_chain(3, 10) == (30, 10)
+        assert stacker_chain(3, 10, ()) == (30, 10)
 
     def test_readme_table_matches_defaults(self):
         train, ensemble = readme_defaults()
