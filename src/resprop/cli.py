@@ -92,9 +92,8 @@ def _cmd_gradcheck(args) -> int:
     labels = rng.integers(sizes[-1], size=args.batch)
     n_params = params.num_parameters()
     if n_params > 200000:
-        print(f"refusing to finite-difference {n_params} parameters; "
-              "use a smaller architecture", file=sys.stderr)
-        return 2
+        raise ValueError(f"refusing to finite-difference {n_params} "
+                         "parameters; use a smaller architecture")
     report = gradient_check(params, x, labels, h=args.h, tol=args.tol)
     ok = report.max_rel_err <= args.tol
     print("gradcheck %s: arch %s, %d coordinates, max rel err %.3g at %s, "

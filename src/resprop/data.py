@@ -25,9 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 
-IMAGE_MAGIC = 2051
-LABEL_MAGIC = 2049
-
 _IDX_UBYTE = 0x08
 
 
@@ -149,7 +146,7 @@ def _images_to_dataset(images: np.ndarray, labels: np.ndarray) -> Dataset:
     if labels.ndim != 1:
         raise ValueError(f"expected a label vector, got shape {labels.shape}")
     n = images.shape[0]
-    if n and labels.max() > 9:
+    if labels.max() > 9:
         raise ValueError(
             f"labels must be digit classes in [0, 10), got max {labels.max()}"
         )
@@ -168,6 +165,8 @@ def _read_pair(images_path, labels_path, which: str):
 def _read_test_set(images_path, labels_path, size: int | None) -> Dataset:
     """The leading `size` examples of the test pair (all of it when None)."""
     images, labels = _read_pair(images_path, labels_path, "test")
+    if len(images) == 0:
+        raise ValueError(f"test pair {images_path} holds no examples")
     if size is not None:
         if size < 1:
             raise ValueError(f"test_size must be >= 1, got {size}")
@@ -176,33 +175,6 @@ def _read_test_set(images_path, labels_path, size: int | None) -> Dataset:
                              f"available test examples")
         images, labels = images[:size], labels[:size]
     return _images_to_dataset(images, labels)
-
-
-def load_splits(train_images_path, train_labels_path,
-                test_images_path, test_labels_path,
-                train_size: int, val_size: int,
-                test_size: int | None = None) -> DataSplits:
-    """Load the train/validation/test datasets from two IDX file pairs.
-
-    Training and validation come from the training pair in file order
-    (first train_size, next val_size); the test set is the leading
-    test_size examples of the test pair (all of it when None). Each
-    size must be at least 1.
-    """
-    for name, size in (("train_size", train_size), ("val_size", val_size)):
-        if size < 1:
-            raise ValueError(f"{name} must be >= 1, got {size}")
-    timg, tlab = _read_pair(train_images_path, train_labels_path, "training")
-    if train_size + val_size > len(timg):
-        raise ValueError(
-            f"split ({train_size}, {val_size}) exceeds the {len(timg)} "
-            f"available training examples"
-        )
-    train = _images_to_dataset(timg[:train_size], tlab[:train_size])
-    end = train_size + val_size
-    validation = _images_to_dataset(timg[train_size:end], tlab[train_size:end])
-    test = _read_test_set(test_images_path, test_labels_path, test_size)
-    return DataSplits(train, validation, test)
 
 
 # Standard MNIST file names, tried with and without .gz.
@@ -232,12 +204,30 @@ def find_standard_files(data_dir) -> dict[str, Path]:
 
 def load_splits_from_dir(data_dir, train_size: int, val_size: int,
                          test_size: int | None = None) -> DataSplits:
+    """Load the train/validation/test datasets from the two standard-named
+    IDX pairs under `data_dir`.
+
+    Training and validation come from the training pair in file order
+    (first train_size, next val_size); the test set is the leading
+    test_size examples of the test pair (all of it when None). Each
+    size must be at least 1.
+    """
     files = find_standard_files(data_dir)
-    return load_splits(
-        files["train_images"], files["train_labels"],
-        files["test_images"], files["test_labels"],
-        train_size, val_size, test_size,
-    )
+    for name, size in (("train_size", train_size), ("val_size", val_size)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
+    timg, tlab = _read_pair(files["train_images"], files["train_labels"],
+                            "training")
+    if train_size + val_size > len(timg):
+        raise ValueError(
+            f"split ({train_size}, {val_size}) exceeds the {len(timg)} "
+            f"available training examples"
+        )
+    train = _images_to_dataset(timg[:train_size], tlab[:train_size])
+    end = train_size + val_size
+    validation = _images_to_dataset(timg[train_size:end], tlab[train_size:end])
+    test = _read_test_set(files["test_images"], files["test_labels"], test_size)
+    return DataSplits(train, validation, test)
 
 
 def load_test_set(data_dir, size: int | None = None) -> Dataset:

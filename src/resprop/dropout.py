@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import LayerSpec, NetworkParams, check_mask, node_sizes
+from .network import NetworkParams, check_mask, node_sizes
 from .tensor import RngStream
 
 
@@ -103,9 +103,9 @@ def all_ones_mask(specs) -> DropoutMask:
     return DropoutMask([np.ones(n) for n in node_sizes(specs)])
 
 
-def sample_masks(spec: DropoutSpec, architecture, rng: RngStream,
+def sample_masks(spec: DropoutSpec, specs, rng: RngStream,
                  count: int) -> list[DropoutMask]:
-    """Sample `count` successive iterations' masks from one block draw.
+    """Sample `count` successive masks for layer `specs` from one block draw.
 
     Each mask consumes one draw per non-output node, input layer first,
     and mutes node i when its draw falls below its layer's rate.
@@ -114,7 +114,6 @@ def sample_masks(spec: DropoutSpec, architecture, rng: RngStream,
     The masks and the stream's final position equal those of `count`
     successive `sample_mask` calls. The masks share read-only arrays.
     """
-    specs = [s if isinstance(s, LayerSpec) else LayerSpec(*s) for s in architecture]
     sizes = node_sizes(specs)
     if len(spec.rates) != len(sizes) - 1:
         raise ValueError(
@@ -136,7 +135,7 @@ def sample_masks(spec: DropoutSpec, architecture, rng: RngStream,
             for row in live]
 
 
-def sample_mask(spec: DropoutSpec, architecture, rng: RngStream) -> DropoutMask:
+def sample_mask(spec: DropoutSpec, specs, rng: RngStream) -> DropoutMask:
     """Sample one iteration's mask: `sample_masks` with a count of 1."""
-    return sample_masks(spec, architecture, rng, 1)[0]
+    return sample_masks(spec, specs, rng, 1)[0]
 

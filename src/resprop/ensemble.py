@@ -6,11 +6,11 @@ an index vector into the shared training arrays (`train_model`'s
 `rows`), not a copy of the data, so a member costs no more memory than
 a single model however large the training set is. Stacking trains
 members on the training set itself, then fits a second network on the
-members' concatenated output probabilities. The stacker is fitted on
-member outputs over the validation set (fitting it on member training
-outputs invites leakage; the fitting set is a documented knob of this
-implementation). Its hidden sizes default to (200 * N, 100 * N); they,
-its epoch cap and its hidden dropout rate are `train_ensemble` arguments.
+members' concatenated output probabilities. The stacker is fitted and
+model-selected on the members' outputs over the validation split, always
+(fitting it on member training outputs invites leakage). Its hidden
+sizes default to (200 * N, 100 * N); they, its epoch cap and its hidden
+dropout rate are `train_ensemble` arguments.
 
 Members are independent: member i draws from RNG stream base
 MEMBER_STREAM_STRIDE * (i + 1), the stacker from the base after the

@@ -66,7 +66,7 @@ def gradient_check(params: NetworkParams, x, labels, h: float = DEFAULT_H,
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     cache = forward(params, x, mask)
-    analytic = backward(params, cache, labels, mask)
+    analytic = backward(params, cache, labels)
     numeric = finite_difference_gradients(params, x, labels, h, mask)
 
     a, f = analytic.flat, numeric.flat

@@ -448,7 +448,6 @@ def format_summary_table(rows: Sequence[tuple[str, Sequence[RunSummary]]]) -> st
 
 @dataclass
 class ExperimentResult:
-    cfg: ExperimentConfig
     records: list[RunRecord]
 
     def summaries(self) -> list[RunSummary]:
@@ -474,7 +473,7 @@ def run_experiment(cfg: ExperimentConfig, splits: Optional[DataSplits] = None,
             save_checkpoint(out / f"model-seed{seed}.ckpt", result.best_params)
             save_checkpoint(out / f"final-seed{seed}.ckpt", result.final_params,
                             state=result.final_state, cfg=rprop_cfg)
-    exp = ExperimentResult(cfg, records)
+    exp = ExperimentResult(records)
     if save:
         write_atomic(out / "runs.csv", export_runs_csv(exp.summaries()).encode())
         write_atomic(out / "summary.txt", format_summary_table(
@@ -556,7 +555,6 @@ def compare_runs(summaries_a: Sequence[RunSummary],
 
 @dataclass
 class EnsembleRunOutput:
-    cfg: EnsembleRunConfig
     training: EnsembleTraining
     member_test_errs: list[float]
     ensemble_test_err: float
@@ -577,7 +575,7 @@ def run_ensemble(cfg: EnsembleRunConfig, splits: Optional[DataSplits] = None,
     probs = model.member_probabilities(test)  # scored once, for both errors
     member_errs = [error_rate(np.argmax(p, axis=1), test.labels) for p in probs]
     ens_err = error_rate(model.combine(probs), test.labels)
-    out = EnsembleRunOutput(cfg, training, member_errs, ens_err)
+    out = EnsembleRunOutput(training, member_errs, ens_err)
     if save:
         out_dir = Path(cfg.out_dir)
         save_ensemble(out_dir, training, seed=cfg.seed)

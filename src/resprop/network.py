@@ -22,7 +22,8 @@ Dropout enters through an optional node mask (see `resprop.dropout`):
 masked node activations are zeroed and surviving ones multiplied by the
 mask's per-layer scale (1/(1-rate) when sampled), so evaluation of the
 full network uses the weights as-is. Gradients of weights incident to a
-masked node are exactly zero.
+masked node are exactly zero. `backward` reads the mask from the cache
+`forward` made under it.
 
 `forward` and the cache-free `probabilities` share one layer loop and
 give identical bits. Both overwrite each layer's matmul output with its
@@ -398,18 +399,16 @@ def nll_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(np.log(np.maximum(p, LOSS_PROB_FLOOR))))
 
 
-def backward(params: NetworkParams, cache: ForwardPass, labels: np.ndarray,
-             mask=None) -> Gradients:
+def backward(params: NetworkParams, cache: ForwardPass,
+             labels: np.ndarray) -> Gradients:
     """Exact gradient of nll_loss(forward(params, x, mask), labels).
 
-    `cache` must come from a `forward` call on these same `params` (and
-    the same mask, when one is passed explicitly); anything else is a
-    stale cache and is rejected.
+    `cache` must come from a `forward` call on these same `params`;
+    anything else is a stale cache and is rejected. The mask, if any, is
+    the one `forward` stored in the cache.
     """
     if cache.params is not params:
         raise ValueError("activation cache was computed from different parameters")
-    if mask is not None and cache.mask is not mask:
-        raise ValueError("activation cache was computed under a different mask")
     mask = cache.mask
 
     labels = np.asarray(labels)

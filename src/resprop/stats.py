@@ -42,15 +42,14 @@ class WilcoxonResult:
     statistic: float        # W+ over the nonzero differences
     n_used: int             # pairs remaining after dropping zero differences
     p_value: float
-    alternative: str
     method: str             # "exact" or "normal"
 
     def significant(self, confidence: float = 0.98) -> bool:
         return self.p_value < 1.0 - confidence
 
 
-def wilcoxon_signed_rank(x, y=None, alternative: str = "two-sided",
-                         exact_threshold: int = EXACT_THRESHOLD) -> WilcoxonResult:
+def wilcoxon_signed_rank(x, y=None,
+                         alternative: str = "two-sided") -> WilcoxonResult:
     """Test whether paired differences are symmetric about zero.
 
     With `y` given the differences are x - y; otherwise x already holds
@@ -74,12 +73,12 @@ def wilcoxon_signed_rank(x, y=None, alternative: str = "two-sided",
     diffs = diffs[diffs != 0.0]
     n = len(diffs)
     if n == 0:
-        return WilcoxonResult(0.0, 0, 1.0, alternative, "exact")
+        return WilcoxonResult(0.0, 0, 1.0, "exact")
 
     ranks = average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
 
-    if n <= exact_threshold:
+    if n <= EXACT_THRESHOLD:
         doubled = np.rint(2.0 * ranks).astype(np.int64)
         total = int(doubled.sum())
         counts = np.zeros(total + 1, dtype=np.int64)
@@ -112,4 +111,4 @@ def wilcoxon_signed_rank(x, y=None, alternative: str = "two-sided",
         p = p_less
     else:
         p = min(1.0, 2.0 * min(p_less, p_greater))
-    return WilcoxonResult(w_plus, n, p, alternative, method)
+    return WilcoxonResult(w_plus, n, p, method)

@@ -15,7 +15,8 @@ minibatch losses, i.e. the mean loss over every training example as it
 was actually presented (mask included). Validation error is the argmax
 mismatch fraction of the unmasked network, which is directly usable
 because sampled masks carry inverted scaling; it runs the cache-free
-`network.probabilities` pass.
+`network.probabilities` pass over slices of EVAL_BATCH rows, as does
+every scoring function here.
 
 RNG discipline: each consumer owns a private stream derived from
 (seed, stream_base + offset), with the offsets below. Ensemble members
@@ -136,32 +137,29 @@ class TrainResult(RunFigures):
     best_params: NetworkParams
     final_params: NetworkParams
     final_state: Optional[RpropState]
-    optimizer: str
 
 
-def networks_probabilities(networks, images,
-                           batch_size: int = EVAL_BATCH) -> list[np.ndarray]:
+def networks_probabilities(networks, images) -> list[np.ndarray]:
     """Each network's class probabilities for every row of an array or a
-    Dataset, by slices; each slice is converted once for all networks."""
+    Dataset, by slices of EVAL_BATCH rows; each slice is converted once
+    for all networks."""
     rows = (images.batch if isinstance(images, Dataset)
             else np.asarray(images, dtype=np.float64).__getitem__)
     outs = [np.empty((len(images), p.num_classes)) for p in networks]
-    for lo in range(0, len(images), batch_size):
-        x = rows(slice(lo, lo + batch_size))
+    for lo in range(0, len(images), EVAL_BATCH):
+        x = rows(slice(lo, lo + EVAL_BATCH))
         for params, out in zip(networks, outs):
-            out[lo:lo + batch_size] = probabilities(params, x)
+            out[lo:lo + EVAL_BATCH] = probabilities(params, x)
     return outs
 
 
-def predict_probabilities(params: NetworkParams, images,
-                          batch_size: int = EVAL_BATCH) -> np.ndarray:
+def predict_probabilities(params: NetworkParams, images) -> np.ndarray:
     """Class probabilities for every row of an array or a Dataset, by slices."""
-    return networks_probabilities([params], images, batch_size)[0]
+    return networks_probabilities([params], images)[0]
 
 
-def predict_labels(params: NetworkParams, images,
-                   batch_size: int = EVAL_BATCH) -> np.ndarray:
-    return np.argmax(predict_probabilities(params, images, batch_size), axis=1)
+def predict_labels(params: NetworkParams, images) -> np.ndarray:
+    return np.argmax(predict_probabilities(params, images), axis=1)
 
 
 def error_rate(predicted: np.ndarray, labels: np.ndarray) -> float:
@@ -169,12 +167,11 @@ def error_rate(predicted: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predicted != labels))
 
 
-def classification_error(params: NetworkParams, data: Dataset,
-                         batch_size: int = EVAL_BATCH) -> float:
+def classification_error(params: NetworkParams, data: Dataset) -> float:
     """Fraction of examples whose argmax prediction misses the label."""
     if len(data) == 0:
         raise ValueError("cannot score an empty dataset")
-    return error_rate(predict_labels(params, data, batch_size), data.labels)
+    return error_rate(predict_labels(params, data), data.labels)
 
 
 def _training_masks(dropout: DropoutSpec, specs, rng: RngStream, steps: int):
@@ -199,17 +196,6 @@ def _check_rows(rows, n: int) -> np.ndarray:
     return rows
 
 
-def _optimizer_transition(optimizer, opt_cfg, ones_mask):
-    """Returns step(params, grads, state, mask) -> (params, state), which
-    steps params and state in place; `train_model` checked `optimizer`."""
-    if optimizer == "sgd":
-        return lambda p, g, s, m: (sgd_step(p, g, opt_cfg, out=p), None)
-    if optimizer == "rprop":
-        return lambda p, g, s, m: rprop_step(p, g, s, opt_cfg, out=(p, s))
-    return lambda p, g, s, m: dropout_rprop_step(
-        p, g, s, opt_cfg, m if m is not None else ones_mask, out=(p, s))
-
-
 def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
                 optimizer: str, opt_cfg, *, epoch_cap: int,
                 batch_size: int = 128, seed: int, stream_base: int = 0,
@@ -228,7 +214,7 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
     Best means lowest validation error; ties go to the earliest epoch.
     Rprop-family state starts from `opt_cfg`. `params` is not modified:
     training steps a private copy in place. Raises DivergenceError when
-    the epoch training loss is not finite.
+    a minibatch loss is not finite.
     """
     if epoch_cap < 1:
         raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
@@ -256,7 +242,6 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
     ones_mask = all_ones_mask(params.specs) if optimizer == "mod-rprop" else None
     params = params.copy()
     state = None if optimizer == "sgd" else init_rprop_state(params, opt_cfg)
-    step = _optimizer_transition(optimizer, opt_cfg, ones_mask)
 
     n = len(train) if rows is None else len(rows)
     masks = (_training_masks(dropout, params.specs, mask_rng,
@@ -284,13 +269,19 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
             if not np.isfinite(batch_loss):
                 raise DivergenceError(epoch, batch_loss)
             loss_sum += batch_loss * len(idx)
-            grads = backward(params, cache, yb, mask)
-            params, state = step(params, grads, state, mask)
+            grads = backward(params, cache, yb)
+            # each kernel steps params and state in place
+            if optimizer == "sgd":
+                sgd_step(params, grads, opt_cfg, out=params)
+            elif optimizer == "rprop":
+                rprop_step(params, grads, state, opt_cfg, out=(params, state))
+            else:
+                dropout_rprop_step(params, grads, state, opt_cfg,
+                                   mask if drop_active else ones_mask,
+                                   out=(params, state))
             # free this step's buffers before the next step makes its own
             del xb, yb, mask, cache, grads
         train_loss = loss_sum / n
-        if not np.isfinite(train_loss):
-            raise DivergenceError(epoch, train_loss)
         val_err = classification_error(params, validation)
         elapsed_ms = (clock() - t0) * 1000.0
         history.append(EpochRow(epoch, float(train_loss), val_err, elapsed_ms))
@@ -298,5 +289,4 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
             best_err = val_err
             best_epoch = epoch
             np.copyto(best_params.flat, params.flat)
-    return TrainResult(history, best_epoch, best_params, params, state,
-                       optimizer)
+    return TrainResult(history, best_epoch, best_params, params, state)

@@ -97,6 +97,21 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_empty_test_pair_exits_2_before_any_output(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--train", "60",
+                     "--test", "0"]) == 0
+        cfg = tmp_path / "empty-test.cfg"
+        cfg.write_text("arch = 784-16-10\noptimizer = sgd\nepochs = 1\n"
+                       f"data_dir = {data}\ntrain_size = 40\nval_size = 10\n")
+        capsys.readouterr()
+        out = tmp_path / "exp"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: test pair {data / 't10k-images-idx3-ubyte'} "
+            "holds no examples\n")
+        assert not out.exists()
+
     def test_divergence_exits_1_with_one_line(self, config_path, tmp_path,
                                               capsys):
         cfg = tmp_path / "diverge.cfg"
@@ -396,7 +411,9 @@ class TestGradcheck:
     def test_oversized_architecture_refused(self, capsys):
         rc = main(["gradcheck", "--arch", "784-300-100-10"])
         assert rc == 2
-        assert "refusing" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "refusing" in err
+        assert err.startswith("error: refusing")
 
     def test_bad_arch_exits_2(self, capsys):
         assert main(["gradcheck", "--arch", "784"]) == 2

@@ -9,7 +9,6 @@ from resprop.data import (
     Dataset,
     IdxFormatError,
     find_standard_files,
-    load_splits,
     load_splits_from_dir,
     load_test_set,
     parse_idx,
@@ -253,6 +252,15 @@ class TestLoadSplits:
                 load(99)
             with pytest.raises(ValueError, match="test_size must be >= 1, got 0"):
                 load(0)
+
+    def test_empty_test_pair_rejected_by_name(self, tmp_path):
+        d = write_pair_dir(tmp_path, n_test=0)
+        message = (r"test pair .*t10k-images-idx3-ubyte\.gz holds no "
+                   r"examples$")
+        for load in (lambda: load_test_set(d),
+                     lambda: load_splits_from_dir(d, 3, 2)):
+            with pytest.raises(ValueError, match=message):
+                load()
 
 
 class TestSyntheticCorpus:

@@ -274,7 +274,7 @@ class TestBackward:
         x = rng.uniform(0, 1, size=(6, 3)).reshape(6, 3)
         labels = rng.integers(2, size=6)
         cache = forward(params, x, mask)
-        grads = backward(params, cache, labels, mask)
+        grads = backward(params, cache, labels)
         assert (grads.weights[0][:, muted] == 0.0).all()
         assert grads.biases[0][muted] == 0.0
         assert (grads.weights[1][muted, :] == 0.0).all()

@@ -255,16 +255,18 @@ class TestPassesMatchReference:
         assert_same_derivatives(got, want)
 
         want_g = reference_backward(params, want, labels)
-        got_g = backward(params, got, labels, mask)
+        got_g = backward(params, got, labels)
         assert_same_arrays(got_g.weights, want_g.weights)
         assert_same_arrays(got_g.biases, want_g.biases)
 
         if mask is None:
             assert same_bytes(probabilities(params, x), want.probabilities)
         for batch_size in (EVAL_BATCH, 7):
-            assert same_bytes(predict_probabilities(params, x, batch_size),
-                              reference_predict_probabilities(params, x,
-                                                              batch_size))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(training, "EVAL_BATCH", batch_size)
+                assert same_bytes(predict_probabilities(params, x),
+                                  reference_predict_probabilities(params, x,
+                                                                  batch_size))
 
     @pytest.mark.parametrize("output", ["identity", "rectifier", "tanh"])
     def test_any_output_activation(self, output):
@@ -326,7 +328,7 @@ class TestCachesAreNotReused:
         mask = random_mask(rng, widths, "hidden")
         first = forward(params, x, mask)
         snapshot = [a.copy() for a in forward_arrays(first)]
-        grads = backward(params, first, labels, mask)
+        grads = backward(params, first, labels)
         grad_snapshot = [g.copy() for g in grads.weights + grads.biases]
         for later_mask in (None, mask, random_mask(rng, widths, "direct")):
             later = forward(params, x, later_mask)
@@ -336,7 +338,7 @@ class TestCachesAreNotReused:
         assert_same_arrays(forward_arrays(first), snapshot)
         assert_same_arrays(grads.weights + grads.biases, grad_snapshot)
 
-    def test_input_is_never_written(self):
+    def test_input_is_never_written(self, monkeypatch):
         # read-only inputs raise on any write; the passes must not need one
         rng = RngStream(4, 0)
         params = random_net(rng, [5, 4, 3], "tanh")
@@ -345,7 +347,8 @@ class TestCachesAreNotReused:
                      random_mask(rng, [5, 4, 3], "direct")):
             backward(params, forward(params, x, mask), np.zeros(6, dtype=int))
         probabilities(params, x)
-        predict_probabilities(params, x, batch_size=4)
+        monkeypatch.setattr(training, "EVAL_BATCH", 4)
+        predict_probabilities(params, x)
 
 
 # ---- mask sampling ---------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resprop import stats
 from resprop.stats import (
     ALTERNATIVES,
     EXACT_THRESHOLD,
@@ -95,7 +96,7 @@ class TestHandValues:
         assert a == b
 
     def test_significance_threshold(self):
-        res = WilcoxonResult(1.0, 8, 0.0195, "two-sided", "exact")
+        res = WilcoxonResult(1.0, 8, 0.0195, "exact")
         assert res.significant(0.98)
         assert not res.significant(0.99)
 
@@ -167,9 +168,10 @@ class TestNormalApproximation:
                 # for two-sided it reports min(W+, W-) so compare p only
                 assert res.p_value == pytest.approx(ref.pvalue, rel=1e-12)
 
-    def test_forced_normal_on_small_sample_is_close(self):
+    def test_forced_normal_on_small_sample_is_close(self, monkeypatch):
         diffs = [5.0, -1.0, 4.0, 6.0, 3.0, -2.5, 1.5, 7.0, -0.5, 2.0]
         exact = wilcoxon_signed_rank(diffs)
-        approx = wilcoxon_signed_rank(diffs, exact_threshold=0)
+        monkeypatch.setattr(stats, "EXACT_THRESHOLD", 0)
+        approx = wilcoxon_signed_rank(diffs)
         assert approx.method == "normal"
         assert approx.p_value == pytest.approx(exact.p_value, abs=0.05)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from resprop import training
 from resprop.data import Dataset
 from resprop.dropout import DropoutSpec
 from resprop.network import (
@@ -72,11 +73,13 @@ class TestPrediction:
                        np.array([0, 1, 2, 1]))
         assert classification_error(params, data) == 0.25
 
-    def test_batched_eval_matches_single_shot(self):
+    def test_batched_eval_matches_single_shot(self, monkeypatch):
         params = init_params(chain_specs((16, 8, 10)), RngStream(1, 0))
         images = RngStream(2, 0).uniform(size=(50, 16))
-        a = predict_probabilities(params, images, batch_size=7)
-        b = predict_probabilities(params, images, batch_size=1000)
+        monkeypatch.setattr(training, "EVAL_BATCH", 7)
+        a = predict_probabilities(params, images)
+        monkeypatch.setattr(training, "EVAL_BATCH", 1000)
+        b = predict_probabilities(params, images)
         # matmul blocking may differ across batch shapes; rows agree to
         # within an ulp-scale tolerance
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
@@ -165,7 +168,6 @@ class TestTrainLoop:
     def test_epochs_equal_rows(self, toy_splits):
         res = fit(toy_splits, "rprop", RpropConfig(delta_init=0.01), epochs=5)
         assert [r.epoch for r in res.rows] == [1, 2, 3, 4, 5]
-        assert res.optimizer == "rprop"
 
     @pytest.mark.parametrize("optimizer,cfg,dropout", [
         ("sgd", SgdConfig(0.1), None),
@@ -187,6 +189,54 @@ class TestTrainLoop:
     def test_sgd_has_no_state(self, toy_splits):
         res = fit(toy_splits, "sgd", SgdConfig(0.1), epochs=1)
         assert res.final_state is None
+
+
+KERNELS = {"sgd": "sgd_step", "rprop": "rprop_step",
+           "mod-rprop": "dropout_rprop_step"}
+
+
+class TestKernelDispatch:
+    @pytest.mark.parametrize("dropout", [None, DropoutSpec((0.0, 0.5))])
+    @pytest.mark.parametrize("optimizer,cfg", [
+        ("sgd", SgdConfig(0.1)),
+        ("rprop", RpropConfig(delta_init=0.01)),
+        ("mod-rprop", RpropConfig(delta_init=0.01)),
+    ])
+    def test_loop_reaches_its_kernel_by_name(self, toy_splits, monkeypatch,
+                                             optimizer, cfg, dropout):
+        # wrappers installed on the module globals see every step, as a
+        # tracer that replaces those globals does
+        calls = {name: [] for name in KERNELS.values()}
+        for name, seen in calls.items():
+            def counted(*args, _kernel=getattr(training, name), _seen=seen,
+                        **kwargs):
+                _seen.append(args)
+                return _kernel(*args, **kwargs)
+            monkeypatch.setattr(training, name, counted)
+        sampled = []
+
+        def recorded(*args, _sample=training.sample_masks):
+            sampled.extend(masks := _sample(*args))
+            return masks
+        monkeypatch.setattr(training, "sample_masks", recorded)
+
+        epochs, batch = 2, 32
+        fit(toy_splits, optimizer, cfg, epochs=epochs, batch=batch,
+            dropout=dropout)
+        steps = epochs * math.ceil(len(toy_splits[0]) / batch)
+        kernel = KERNELS[optimizer]
+        assert {name: len(seen) for name, seen in calls.items()} == \
+               {name: steps if name == kernel else 0 for name in calls}
+        assert len(sampled) == (0 if dropout is None else steps)
+        if optimizer != "mod-rprop":
+            return
+        masks = [args[4] for args in calls[kernel]]
+        if dropout is not None:
+            assert all(got is want for got, want in zip(masks, sampled))
+        else:
+            assert all(m is masks[0] for m in masks)
+            assert all(m.all() for m in masks[0].node_masks)
+            assert masks[0].scales == [1.0] * len(masks[0].scales)
 
 
 class TestValidationOfArguments:
