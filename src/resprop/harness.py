@@ -473,6 +473,8 @@ def run_experiment(cfg: ExperimentConfig, splits: Optional[DataSplits] = None,
             save_checkpoint(out / f"model-seed{seed}.ckpt", result.best_params)
             save_checkpoint(out / f"final-seed{seed}.ckpt", result.final_params,
                             state=result.final_state, cfg=rprop_cfg)
+        # the next seed trains without this one's models and Rprop state
+        del result
     exp = ExperimentResult(records)
     if save:
         write_atomic(out / "runs.csv", export_runs_csv(exp.summaries()).encode())

@@ -29,7 +29,12 @@ masked node are exactly zero. `backward` reads the mask from the cache
 give identical bits. Both overwrite each layer's matmul output with its
 activation, and the last with the softmax, and never write the input.
 `forward` caches each layer's input and derivative factor (a bool array
-for the rectifier), never a pre-activation. Multiplications that are
+for the rectifier), never a pre-activation. `backward` consumes that
+cache: each delta overwrites a cached array of its own shape that no
+later stage reads (the first delta the probabilities, the one at a
+hidden node layer that layer's input once its weight gradient is
+taken), so beyond its forward arrays a step allocates only the
+gradient buffer. It never writes the input. Multiplications that are
 exactly the identity (an all-live node layer at scale 1, the identity
 activation's derivative) are skipped, in `backward` too.
 """
@@ -278,13 +283,20 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass
 class ForwardPass:
-    """One `forward` call's layer inputs and derivative factors."""
+    """One `forward` call's layer inputs and derivative factors.
+
+    `backward` consumes it: it writes its deltas into `probabilities`
+    and `layer_inputs[1:]` and sets `consumed`, so a second `backward`
+    on it is refused. `layer_inputs[0]`, the caller's input, and
+    `derivatives` are never written.
+    """
 
     params: NetworkParams = field(repr=False)
     mask: object = field(repr=False)
     layer_inputs: list[np.ndarray] = field(repr=False)
     derivatives: list[np.ndarray | None] = field(repr=False)
     probabilities: np.ndarray = field(repr=False)
+    consumed: bool = field(default=False, repr=False)
 
     @property
     def batch_size(self) -> int:
@@ -406,9 +418,18 @@ def backward(params: NetworkParams, cache: ForwardPass,
     `cache` must come from a `forward` call on these same `params`;
     anything else is a stale cache and is rejected. The mask, if any, is
     the one `forward` stored in the cache.
+
+    The cache is consumed: the first delta is built in
+    `cache.probabilities` and the delta into layer l in
+    `cache.layer_inputs[l]` once layer l's weight gradient has read it,
+    so no delta gets a buffer of its own. A consumed cache is refused;
+    the input `layer_inputs[0]` is never written.
     """
     if cache.params is not params:
         raise ValueError("activation cache was computed from different parameters")
+    if cache.consumed:
+        raise ValueError("activation cache was consumed by an earlier backward "
+                         "call; run forward again")
     mask = cache.mask
 
     labels = np.asarray(labels)
@@ -416,7 +437,8 @@ def backward(params: NetworkParams, cache: ForwardPass,
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
 
-    dz = cache.probabilities.copy()
+    cache.consumed = True
+    dz = cache.probabilities
     dz[np.arange(n), labels] -= 1.0
     dz /= n
 
@@ -427,7 +449,8 @@ def backward(params: NetworkParams, cache: ForwardPass,
         np.matmul(cache.layer_inputs[l].T, dz, out=grads.weights[l])
         dz.sum(axis=0, out=grads.biases[l])
         if l > 0:
-            dz = dz @ params.weights[l].T
+            # layer l's input is read for the last time just above
+            dz = np.matmul(dz, params.weights[l].T, out=cache.layer_inputs[l])
             factor = _node_factor(mask, l)
             if factor is not None:
                 dz *= factor

@@ -55,7 +55,7 @@ def _pack_flat(flat: np.ndarray) -> bytes:
     return flat.astype("<f8", copy=False).tobytes()
 
 
-def _unpack_flat(payload: bytes, specs) -> np.ndarray:
+def _unpack_flat(payload: memoryview, specs) -> np.ndarray:
     expected = 8 * sum(map(math.prod, layout(specs)))
     if len(payload) != expected:
         raise ValueError(f"array section length {len(payload)} does not match "
@@ -114,6 +114,7 @@ def load_checkpoint(path):
     Any malformed or truncated file raises ValueError.
     """
     data = Path(path).read_bytes()
+    view = memoryview(data)  # sections are sliced without a copy
     if data[:4] != MAGIC:
         raise ValueError(f"not a checkpoint file: bad magic {data[:4]!r}")
     version, n_layers = _read("<HI", data, 4, "header")
@@ -142,7 +143,7 @@ def load_checkpoint(path):
         if tag in sections:
             raise ValueError(f"checkpoint repeats section {tag!r}")
         if tag in _TAGS:
-            sections[tag] = data[start:start + length]
+            sections[tag] = view[start:start + length]
         offset = start + length
 
     if "params" not in sections:

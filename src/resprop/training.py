@@ -205,7 +205,8 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
     """Train for `epoch_cap` epochs, keeping the best-validation model.
 
     Minibatches are gathered by `train.batch` into one buffer per run,
-    and each step frees its other buffers before the next. With `rows`
+    `backward` writes its deltas into the step's forward cache, and each
+    step frees its other buffers before the next. With `rows`
     (1-D integer indices into `train`, repeats allowed), training runs
     on those rows in that order, exactly as on a `Dataset` of them: each
     epoch shuffles positions in `rows` and each minibatch gathers from

@@ -2,6 +2,7 @@
 
 import dataclasses
 import statistics
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -470,6 +471,29 @@ class TestRunExperiment:
         cfg = toy_config(out_dir=str(tmp_path / "never"), seeds=(1,))
         run_experiment(cfg, toy_splits(), save=False)
         assert not (tmp_path / "never").exists()
+
+    def test_a_second_seed_adds_no_memory(self, tmp_path):
+        # Full-batch rprop at 784-300-100-10 on 500 examples. Keeping the
+        # previous seed's TrainResult while the next seed trains adds its
+        # four 2.13 MB model buffers (best and final params, Rprop
+        # delta and previous gradient) to the peak: 8.5 MB over the
+        # 1 MB allowance.
+        rng = np.random.default_rng(0)
+        splits = DataSplits(*(
+            Dataset(rng.integers(0, 256, size=(n, 784), dtype=np.uint8),
+                    rng.integers(10, size=n)) for n in (500, 100, 100)))
+        peaks = []
+        for seeds in ((1,), (1, 2)):
+            cfg = toy_config(sizes=(784, 300, 100, 10), optimizer="rprop",
+                             epochs=2, batch_size=500, seeds=seeds,
+                             out_dir=str(tmp_path))
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, splits, save=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1e6, peaks
 
 
 class TestEnsembleConfig:

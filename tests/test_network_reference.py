@@ -327,8 +327,9 @@ class TestCachesAreNotReused:
         labels = rng.integers(3, size=11)
         mask = random_mask(rng, widths, "hidden")
         first = forward(params, x, mask)
-        snapshot = [a.copy() for a in forward_arrays(first)]
         grads = backward(params, first, labels)
+        # taken after `backward`, which consumes its own cache on purpose
+        snapshot = [a.copy() for a in forward_arrays(first)]
         grad_snapshot = [g.copy() for g in grads.weights + grads.biases]
         for later_mask in (None, mask, random_mask(rng, widths, "direct")):
             later = forward(params, x, later_mask)
@@ -337,6 +338,33 @@ class TestCachesAreNotReused:
         probabilities(params, x)
         assert_same_arrays(forward_arrays(first), snapshot)
         assert_same_arrays(grads.weights + grads.biases, grad_snapshot)
+
+    @pytest.mark.parametrize("kind", ["none", "hidden", "direct"])
+    def test_backward_consumes_its_cache(self, kind):
+        # deltas overwrite the probabilities and hidden layer inputs;
+        # the input and the derivative factors stay as forward left them
+        rng = RngStream(5, 0)
+        widths = [6, 5, 4, 3]
+        params = random_net(rng, widths, "tanh")
+        x = frozen(rng.uniform(size=(11, 6)))
+        labels = rng.integers(3, size=11)
+        cache = forward(params, x, random_mask(rng, widths, kind))
+        written = cache.layer_inputs[1:] + [cache.probabilities]
+        kept = [cache.layer_inputs[0]] + cache.derivatives[:-1]
+        written_before = [a.copy() for a in written]
+        kept_before = [a.copy() for a in kept]
+        with pytest.raises(ValueError, match="does not match batch"):
+            backward(params, cache, labels[:5])
+        assert not cache.consumed  # a refused call writes nothing
+        backward(params, cache, labels)
+        assert cache.consumed and cache.batch_size == 11
+        for a, before in zip(written, written_before):
+            assert not same_bytes(a, before)
+        assert_same_arrays(cache.layer_inputs[1:] + [cache.probabilities],
+                           written)
+        assert_same_arrays(kept, kept_before)
+        with pytest.raises(ValueError, match="consumed"):
+            backward(params, cache, labels)
 
     def test_input_is_never_written(self, monkeypatch):
         # read-only inputs raise on any write; the passes must not need one
