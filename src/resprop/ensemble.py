@@ -16,6 +16,12 @@ Members are independent: member i draws from RNG stream base
 MEMBER_STREAM_STRIDE * (i + 1), the stacker from the base after the
 last member, so trajectories never share a stream. Vote ties go to the
 lowest class index.
+
+Of each network it trains, an ensemble keeps only what its callers
+read: the epoch rows, the best epoch and the best params. The final
+params and Rprop state are dropped as soon as the network has trained,
+so while member k trains the k finished members hold one model buffer
+each.
 """
 
 from __future__ import annotations
@@ -181,7 +187,12 @@ class EnsembleModel:
 
 @dataclass
 class EnsembleTraining:
-    """Training-time record: the model plus every member's history."""
+    """Training-time record: the model plus every member's history.
+
+    Each `TrainResult` keeps its `rows`, `best_epoch` and `best_params`
+    (the same objects as the model's members and stacker); its
+    `final_params` and `final_state` are None.
+    """
 
     model: EnsembleModel
     member_results: list[TrainResult]
@@ -221,15 +232,18 @@ def train_ensemble(spec: EnsembleSpec, splits: DataSplits, opt_cfg: RpropConfig,
         stacker_dropout = DropoutSpec.for_sizes(chain, stacker_dropout_hidden, 0.0)
 
     def train_net(i, layers, train, validation, epoch_cap, dropout, rows=None):
-        """Network i (the stacker is i = spec.size) from its stream base."""
+        """Network i (the stacker is i = spec.size) from its stream base,
+        without its final params and Rprop state."""
         base = member_stream_base(i)
-        params = init_params(layers, RngStream(seed, base + STREAM_INIT),
-                             init_scale)
-        return train_model(
-            params, train, validation, "mod-rprop", opt_cfg,
+        # passed inline, so train_model's private copy is the only live model
+        result = train_model(
+            init_params(layers, RngStream(seed, base + STREAM_INIT), init_scale),
+            train, validation, "mod-rprop", opt_cfg,
             epoch_cap=epoch_cap, batch_size=batch_size, seed=seed,
             stream_base=base, dropout=dropout, clock=clock, rows=rows,
         )
+        result.final_params = result.final_state = None
+        return result
 
     member_layers = chain_specs(spec.member_sizes)
     member_results: list[TrainResult] = []

@@ -365,10 +365,11 @@ class RunRecord(RunFigures):
 def train_run(cfg: ExperimentConfig, seed: int,
               splits: DataSplits) -> tuple[RunRecord, TrainResult]:
     """One seeded run: init, train, select, score on the test set."""
-    init_rng = RngStream(seed, STREAM_INIT)
-    params = init_params(cfg.layer_specs(), init_rng, cfg.init_scale)
+    # passed inline, so train_model's private copy is the only live model
     result = train_model(
-        params, splits.train, splits.validation, cfg.optimizer,
+        init_params(cfg.layer_specs(), RngStream(seed, STREAM_INIT),
+                    cfg.init_scale),
+        splits.train, splits.validation, cfg.optimizer,
         cfg.optimizer_config(), epoch_cap=cfg.epochs,
         batch_size=cfg.batch_size, seed=seed, dropout=cfg.dropout_spec(),
         clock=cfg.clock_fn(),

@@ -51,8 +51,10 @@ _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 _TAGS = ("params", "delta", "prevgrad", "rprophp")
 
 
-def _pack_flat(flat: np.ndarray) -> bytes:
-    return flat.astype("<f8", copy=False).tobytes()
+def _pack_flat(flat: np.ndarray) -> np.ndarray:
+    """The buffer's float64 little-endian bytes, as a uint8 view where
+    the buffer already is float64 little-endian (no copy)."""
+    return flat.astype("<f8", copy=False).view(np.uint8)
 
 
 def _unpack_flat(payload: memoryview, specs) -> np.ndarray:
@@ -63,16 +65,20 @@ def _unpack_flat(payload: memoryview, specs) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").astype(np.float64)
 
 
-def _section(tag: str, payload: bytes) -> bytes:
-    return tag.encode("ascii").ljust(8) + struct.pack("<Q", len(payload)) + payload
+def _section(tag: str, payload) -> list:
+    """A section's header and its payload, to be written in turn."""
+    return [tag.encode("ascii").ljust(8) + struct.pack("<Q", len(payload)),
+            payload]
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write `data` to `<path>.tmp`, then rename it to `path`, so an
-    interrupted write leaves any earlier file at `path` whole."""
+def write_atomic(path, *chunks) -> None:
+    """Write `chunks` (bytes, or contiguous uint8 arrays) in turn to
+    `<path>.tmp`, then rename it to `path`, so an interrupted write
+    leaves any earlier file at `path` whole."""
     tmp = Path(f"{path}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as f:
+            f.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -95,7 +101,8 @@ def save_checkpoint(path, params: NetworkParams,
                          cfg.delta_min, cfg.delta_init)
         sections.append(_section("rprophp", hp))
     head.append(struct.pack("<I", len(sections)))
-    write_atomic(path, b"".join(head) + b"".join(sections))
+    # each array is written from its own buffer: no copy of the payload
+    write_atomic(path, b"".join(head), *(c for s in sections for c in s))
 
 
 def _read(fmt: str, data: bytes, offset: int, what: str) -> tuple:

@@ -130,12 +130,16 @@ class RunFigures:
 
 @dataclass
 class TrainResult(RunFigures):
-    """Everything `train_model` learned: history plus selected model."""
+    """Everything `train_model` learned: history plus selected model,
+    and the model and Rprop state after the last epoch (`final_state` is
+    None for sgd). An ensemble keeps only the rows, best epoch and best
+    params of each network it trains: it sets `final_params` and
+    `final_state` to None once the network has trained."""
 
     rows: list[EpochRow]
     best_epoch: int
     best_params: NetworkParams
-    final_params: NetworkParams
+    final_params: Optional[NetworkParams]
     final_state: Optional[RpropState]
 
 

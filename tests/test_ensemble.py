@@ -1,5 +1,6 @@
 """Ensemble tests: resampling, aggregation, training, and persistence."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -35,7 +36,7 @@ from resprop.training import (
     predict_probabilities,
     train_model,
 )
-from test_serialization import fail_mid_write
+from test_serialization import fail_mid_write, traced_peak
 
 
 def tagged_dataset(n, seed=0):
@@ -294,14 +295,17 @@ class TestTrainEnsemble:
         t = train_ensemble(spec, splits, RpropConfig(), seed=5, batch_size=8,
                            stacker_hidden=(8,), stacker_epoch_cap=2)
         assert t.model.stacker is not None
-        assert t.stacker_result is not None
+        assert t.stacker_result.best_params is t.model.stacker
+        # nothing reads a trained network's final model or Rprop state
+        for r in t.member_results + [t.stacker_result]:
+            assert r.final_params is None and r.final_state is None
         # 2 members x 10 classes in, one hidden layer of 8, 10 out
         assert [w.shape for w in t.model.stacker.weights] == [(20, 8), (8, 10)]
         preds = t.model.predict(splits.test.images)
         assert preds.shape == (len(splits.test),)
         assert preds.min() >= 0 and preds.max() <= 9
 
-    def test_stacker_dropout_matches_hand_built_training(self):
+    def test_stacker_dropout_matches_hand_built_training(self, monkeypatch):
         splits = toy_splits()
         spec = EnsembleSpec("stacking", 2, (16, 8, 10), 2)
         cfg = RpropConfig(delta_init=0.01)
@@ -312,7 +316,9 @@ class TestTrainEnsemble:
                                   stacker_dropout_hidden=rate,
                                   clock=counter_clock())
 
+        trained = keep_train_results(monkeypatch)
         got = build(0.5)
+        stacker = trained[-1]
         base = member_stream_base(spec.size)
         params = init_params(chain_specs((20, 8, 10)),
                              RngStream(6, base + STREAM_INIT))
@@ -323,11 +329,12 @@ class TestTrainEnsemble:
                            epoch_cap=3, batch_size=8, seed=6, stream_base=base,
                            dropout=DropoutSpec.for_sizes((20, 8, 10), 0.5, 0.0),
                            clock=counter_clock())
-        assert result_arrays(got.stacker_result) == result_arrays(want)
+        assert result_arrays(stacker) == result_arrays(want)
         assert got.stacker_result.rows == want.rows
+        assert got.stacker_result.best_params is stacker.best_params
         # the rate reaches training: without it the stacker trains otherwise
-        assert (result_arrays(build(0.0).stacker_result)
-                != result_arrays(got.stacker_result))
+        build(0.0)
+        assert result_arrays(trained[-1]) != result_arrays(stacker)
 
     def test_member_stream_bases_disjoint(self):
         bases = [member_stream_base(i) for i in range(4)]
@@ -354,6 +361,21 @@ def copy_based_members(spec, splits, cfg, *, seed, batch_size, dropout):
     return results
 
 
+def keep_train_results(monkeypatch):
+    """A list that collects every TrainResult `train_ensemble` gets from
+    `train_model`, copied before the ensemble drops its final params and
+    Rprop state."""
+    kept = []
+
+    def train_and_keep(*args, **kwargs):
+        result = train_model(*args, **kwargs)
+        kept.append(dataclasses.replace(result))
+        return result
+
+    monkeypatch.setattr(ensemble, "train_model", train_and_keep)
+    return kept
+
+
 def result_arrays(res):
     state = res.final_state
     return [a.tobytes() for a in (
@@ -369,18 +391,20 @@ class TestBaggingByIndex:
         (13, 48, DropoutSpec((0.2, 0.5))),
     ])
     def test_members_bit_equal_to_copied_resamples(self, seed, batch_size,
-                                                   dropout):
+                                                   dropout, monkeypatch):
         splits = toy_splits(n_train=50)
         spec = bagging_spec(size=3, epochs=3)
         cfg = RpropConfig(delta_init=0.01)
+        trained = keep_train_results(monkeypatch)
         got = train_ensemble(spec, splits, cfg, seed=seed,
                              batch_size=batch_size, member_dropout=dropout,
                              clock=counter_clock())
         ref = copy_based_members(spec, splits, cfg, seed=seed,
                                  batch_size=batch_size, dropout=dropout)
-        for g, r in zip(got.member_results, ref, strict=True):
-            assert result_arrays(g) == result_arrays(r)
+        for g, t, r in zip(got.member_results, trained, ref, strict=True):
+            assert result_arrays(t) == result_arrays(r)
             assert g.rows == r.rows and g.best_epoch == r.best_epoch
+            assert g.best_params is t.best_params
 
     def test_peak_memory_is_far_below_a_resampled_copy(self):
         # A copied resample of this training set is 12.5 MB; the network
@@ -399,6 +423,33 @@ class TestBaggingByIndex:
         finally:
             tracemalloc.stop()
         assert peak < train.images.nbytes / 2, (peak, train.images.nbytes)
+
+    def test_finished_members_keep_only_their_best_params(self):
+        # 784-300-100-10 members: one model buffer is 2.13 MB. While the
+        # last member trains, each finished member may hold one buffer
+        # (its best_params), plus 0.5 MB for everything else. Keeping a
+        # finished member's final params and Rprop state adds three
+        # buffers each, and holding a member's initial params while
+        # train_model steps its copy adds one more.
+        rng = np.random.default_rng(0)
+        splits = DataSplits(*(
+            Dataset(rng.integers(0, 256, size=(n, 784), dtype=np.uint8),
+                    rng.integers(10, size=n)) for n in (200, 100, 100)))
+        spec = EnsembleSpec("bagging", 3, (784, 300, 100, 10), 1)
+        dropout = DropoutSpec.for_sizes(spec.member_sizes, 0.5, 0.0)
+        kw = dict(seed=1, batch_size=100)
+        last = member_stream_base(spec.size - 1)
+        params = init_params(chain_specs(spec.member_sizes),
+                             RngStream(1, last + STREAM_INIT))
+        rows = bootstrap_resample(200, RngStream(1, last + STREAM_RESAMPLE))
+        member_peak = traced_peak(lambda: train_model(
+            params, splits.train, splits.validation, "mod-rprop",
+            RpropConfig(), epoch_cap=1, stream_base=last, dropout=dropout,
+            rows=rows, **kw))
+        ensemble_peak = traced_peak(lambda: train_ensemble(
+            spec, splits, RpropConfig(), member_dropout=dropout, **kw))
+        allowed = member_peak + (spec.size - 1) * params.flat.nbytes + 0.5e6
+        assert ensemble_peak <= allowed, (ensemble_peak, member_peak)
 
 
 class TestSaveLoad:

@@ -2,7 +2,6 @@
 
 import dataclasses
 import statistics
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +34,12 @@ from resprop.harness import (
     run_experiment,
     train_run,
 )
+from resprop.network import init_params
 from resprop.optimizers import RpropConfig, SgdConfig
 from resprop.serialization import load_checkpoint
-from resprop.training import EpochRow
-from test_serialization import fail_mid_write
+from resprop.tensor import RngStream
+from resprop.training import STREAM_INIT, EpochRow, train_model
+from test_serialization import fail_mid_write, traced_peak
 
 
 def toy_splits(n_train=48, n_val=24, n_test=24, seed=0):
@@ -59,6 +60,21 @@ def toy_config(**overrides):
                 clock="counter")
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def full_batch_splits():
+    """500/100/100 uint8 examples at the desk model's input width."""
+    rng = np.random.default_rng(0)
+    return DataSplits(*(
+        Dataset(rng.integers(0, 256, size=(n, 784), dtype=np.uint8),
+                rng.integers(10, size=n)) for n in (500, 100, 100)))
+
+
+def full_batch_config(out_dir, seeds):
+    """Two full-batch rprop epochs of a 784-300-100-10 model on
+    `full_batch_splits`."""
+    return toy_config(sizes=(784, 300, 100, 10), optimizer="rprop", epochs=2,
+                      batch_size=500, seeds=seeds, out_dir=str(out_dir))
 
 
 class TestSizeChain:
@@ -478,22 +494,27 @@ class TestRunExperiment:
         # four 2.13 MB model buffers (best and final params, Rprop
         # delta and previous gradient) to the peak: 8.5 MB over the
         # 1 MB allowance.
-        rng = np.random.default_rng(0)
-        splits = DataSplits(*(
-            Dataset(rng.integers(0, 256, size=(n, 784), dtype=np.uint8),
-                    rng.integers(10, size=n)) for n in (500, 100, 100)))
-        peaks = []
-        for seeds in ((1,), (1, 2)):
-            cfg = toy_config(sizes=(784, 300, 100, 10), optimizer="rprop",
-                             epochs=2, batch_size=500, seeds=seeds,
-                             out_dir=str(tmp_path))
-            tracemalloc.start()
-            try:
-                run_experiment(cfg, splits, save=False)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        splits = full_batch_splits()
+        peaks = [traced_peak(lambda: run_experiment(
+            full_batch_config(tmp_path, seeds), splits, save=False))
+            for seeds in ((1,), (1, 2))]
         assert peaks[1] <= peaks[0] + 1e6, peaks
+
+    def test_a_run_adds_nothing_to_its_training(self, tmp_path):
+        # train_model steps a private copy of the params it is given, so
+        # holding the initial params through training adds one 2.13 MB
+        # buffer to the run's peak.
+        splits = full_batch_splits()
+        cfg = full_batch_config(tmp_path, (1,))
+        params = init_params(cfg.layer_specs(), RngStream(1, STREAM_INIT),
+                             cfg.init_scale)
+        train_peak = traced_peak(lambda: train_model(
+            params, splits.train, splits.validation, cfg.optimizer,
+            cfg.optimizer_config(), epoch_cap=cfg.epochs,
+            batch_size=cfg.batch_size, seed=1, dropout=cfg.dropout_spec(),
+            clock=cfg.clock_fn()))
+        run_peak = traced_peak(lambda: run_experiment(cfg, splits, save=False))
+        assert run_peak - train_peak < 1e6, (run_peak, train_peak)
 
 
 class TestEnsembleConfig:

@@ -1,5 +1,6 @@
 import pathlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,17 +100,44 @@ class TestOneBuffer:
             assert a.tobytes() == b.tobytes()
 
 
-def fail_mid_write(monkeypatch, name):
-    """Makes writing a file called `name` stop with an error halfway."""
-    write_bytes = pathlib.Path.write_bytes
+def traced_peak(fn) -> int:
+    """The traced peak, in bytes, of the allocations `fn()` makes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def half_then_fail(path, data):
-        if path.name != name:
-            return write_bytes(path, data)
-        write_bytes(path, data[:len(data) // 2])
+
+class _HalfThenFail:
+    """A file that writes the first half of the bytes `writelines` is
+    given, then fails the way a full disk does."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def writelines(self, chunks):
+        data = b"".join(chunks)
+        self._f.write(data[:len(data) // 2])
         raise OSError("No space left on device")
 
-    monkeypatch.setattr(pathlib.Path, "write_bytes", half_then_fail)
+
+def fail_mid_write(monkeypatch, name):
+    """Makes writing a file called `name` stop with an error halfway."""
+    open_path = pathlib.Path.open
+
+    def open_then_fail(path, mode="r", *args, **kwargs):
+        f = open_path(path, mode, *args, **kwargs)
+        return _HalfThenFail(f) if path.name == name else f
+
+    monkeypatch.setattr(pathlib.Path, "open", open_then_fail)
 
 
 class TestInterruptedSave:
@@ -130,6 +158,18 @@ class TestInterruptedSave:
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(tmp_path / "model.ckpt", params)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestStreamedSave:
+    def test_save_holds_no_copy_of_a_section(self, tmp_path):
+        # A 784-300-100-10 model buffer is 2.13 MB. Joining the sections
+        # into one payload held three copies of all three (19.2 MB).
+        params = init_params(chain_specs((784, 300, 100, 10)), RngStream(1, 0))
+        cfg = RpropConfig()
+        state = init_rprop_state(params, cfg)
+        peak = traced_peak(lambda: save_checkpoint(tmp_path / "model.ckpt",
+                                                   params, state, cfg))
+        assert peak < params.flat.nbytes, peak
 
 
 class TestByteLayout:
