@@ -29,6 +29,16 @@ not met.
 Run it from anywhere inside the repository, on an otherwise idle
 machine: the runs are sequential and each takes `--seconds` plus its
 set-up.
+
+`--artifacts` instead checks that a change leaves every artifact byte
+for byte as it was. It writes one small synthetic corpus and runs
+`scripts/reproduce.py` on it (784-8-10, one epoch, seeds 1-2, ensembles
+of 2, `clock = counter`) once from the base tree and once from the
+working tree, names every file whose bytes differ or that only one run
+wrote, and exits 1 if there is any. The output root, which config.txt
+and spec.txt record, is masked before the comparison.
+
+    python3 scripts/bench_pairs.py --base HEAD --artifacts
 """
 
 from __future__ import annotations
@@ -43,6 +53,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ARTIFACT_CFG = ("arch = 784-8-10\nbatch_size = 100\ntrain_size = 200\n"
+                "val_size = 100\nclock = counter\n")
 TRACE_KEYS = ("harness.run_experiment.optimizer_frac",
               "harness.run_experiment.network_frac",
               "optimizers.sgd_step.calls", "optimizers.rprop_step.calls",
@@ -90,6 +102,54 @@ def bench(tree: Path, workload: str, seed: int, seconds: float,
             "attempted": result.get("attempted"),
             "failed": result.get("failed"),
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under `root`, by relative path, with its bytes; in
+    config.txt and spec.txt, which record out_dir, `root` reads <out>."""
+    files = {}
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            data = p.read_bytes()
+            if p.name in ("config.txt", "spec.txt"):
+                data = data.replace(str(root).encode(), b"<out>")
+            files[str(p.relative_to(root))] = data
+    return files
+
+
+def differing_files(a: Path, b: Path) -> list[str]:
+    """The relative paths whose bytes differ between the trees `a` and
+    `b`, or that only one of them holds (masked as in `tree_bytes`)."""
+    ta, tb = tree_bytes(a), tree_bytes(b)
+    return sorted(n for n in ta.keys() | tb.keys() if ta.get(n) != tb.get(n))
+
+
+def compare_artifacts(trees: dict[str, Path], tmp: Path) -> int:
+    """Runs `scripts/reproduce.py` of each tree on one small synthetic
+    corpus, prints every artifact that differs, and returns the exit
+    code: 1 if a run failed or an artifact differs, else 0."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from resprop.synthetic import write_corpus
+    write_corpus(tmp / "digits", n_train=300, n_test=100, seed=5)
+    (tmp / "exp.cfg").write_text(ARTIFACT_CFG + "epochs = 1\nseeds = 1,2\n")
+    (tmp / "ens.cfg").write_text(
+        ARTIFACT_CFG + "size = 2\nmember_epochs = 1\nstacker_epochs = 1\n")
+    for side, tree in trees.items():
+        proc = subprocess.run(
+            [sys.executable, str(tree / "scripts" / "reproduce.py"),
+             "--config", str(tmp / "exp.cfg"), "--spec", str(tmp / "ens.cfg"),
+             "--data", str(tmp / "digits"), "--out", str(tmp / f"out-{side}")],
+            capture_output=True, text=True)
+        if proc.returncode:
+            print(f"NONZERO EXIT {proc.returncode}: reproduce.py of {side}\n"
+                  f"{proc.stderr.strip()}")
+            return 1
+    differ = differing_files(tmp / "out-base", tmp / "out-change")
+    for name in differ:
+        print(f"DIFFERS: {name}")
+    print(f"{len(differ)} of {len(tree_bytes(tmp / 'out-change'))} artifacts "
+          f"differ")
+    return 1 if differ else 0
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -168,8 +228,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True,
                     help="commit to compare the working tree against")
-    ap.add_argument("--seeds", required=True,
-                    help="one seed per pair, e.g. 601-610")
+    ap.add_argument("--seeds", help="one seed per pair, e.g. 601-610")
     ap.add_argument("--workloads", default="desk-dropout,fullbatch-nodrop")
     ap.add_argument("--seconds", type=float, default=55.0)
     ap.add_argument("--trace-seed", type=int,
@@ -178,7 +237,17 @@ def main(argv=None) -> int:
                     "metric's `summarize` output and every run's result")
     ap.add_argument("--claim", metavar="METRIC@WORKLOAD",
                     help="also check the claim rule for this metric")
+    ap.add_argument("--artifacts", action="store_true",
+                    help="instead compare the artifacts of a small "
+                    "scripts/reproduce.py run byte for byte")
     args = ap.parse_args(argv)
+    if args.artifacts:
+        with tempfile.TemporaryDirectory(prefix="bench-artifacts-") as tmp:
+            extract(args.base, Path(tmp))
+            return compare_artifacts(
+                {"base": Path(tmp) / "tree", "change": ROOT}, Path(tmp))
+    if not args.seeds:
+        ap.error("--seeds is required unless --artifacts is given")
     seeds = parse_seeds(args.seeds)
     workloads = args.workloads.split(",")
     trace_seed = args.trace_seed if args.trace_seed is not None else seeds[-1] + 1

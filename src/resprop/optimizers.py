@@ -49,10 +49,11 @@ sgn(0) is 0 exactly (both signed zeros), so a zero gradient never moves
 a weight. Gradients are expected to be batch means, which keeps step
 semantics independent of batch size.
 
-Every kernel takes `out=` (`(params, state)` for the Rprop kernels,
-`params` for `sgd_step`), writes its result there and returns it; `out`
-may be the inputs themselves, which steps in place. With `out=None` (the
-default) the kernel copies its inputs first and never mutates them.
+Every kernel steps one set of buffers and returns it: the inputs
+themselves when `out` names them (`(params, state)` for the Rprop
+kernels, `params` for `sgd_step`), else (`out=None`, the default) a copy
+it makes first, leaving the inputs untouched. Any other `out` is refused
+before anything is written. No kernel writes the gradients.
 """
 
 from __future__ import annotations
@@ -181,36 +182,30 @@ def _check_finite(params: NetworkParams, grads: Gradients) -> None:
     raise ValueError(f"non-finite gradient at layer {layer} {name}, index {idx}")
 
 
-def _check_state(params: NetworkParams, state: RpropState) -> None:
-    check_layout(params.specs, state.delta_w, state.delta_b, "optimizer step sizes")
-    check_layout(params.specs, state.prev_w, state.prev_b,
-                 "optimizer stored gradients")
-
-
 def sgd_step(params: NetworkParams, grads: Gradients, cfg: SgdConfig, *,
              out: NetworkParams | None = None) -> NetworkParams:
     """w <- w - learning_rate * g, elementwise. Returns the stepped params:
-    `out` when given (it may be `params` itself), else a fresh copy."""
+    `params` itself when `out` is `params`, else a stepped copy."""
     check_layout(params.specs, grads.weights, grads.biases, "gradient")
     _check_finite(params, grads)
     if out is None:
         out = params.copy()
-    else:
-        check_layout(params.specs, out.weights, out.biases, "output")
+    elif out is not params:
+        raise ValueError("sgd_step: out must be None or params itself")
     lr = cfg.learning_rate
-    w, g, o = params.flat, grads.flat, out.flat
+    w, g = out.flat, grads.flat
     step = np.empty(min(w.size, _BLOCK_ELEMS))
     for lo in range(0, w.size, _BLOCK_ELEMS):
         blk = slice(lo, lo + _BLOCK_ELEMS)
         s = step[:min(w.size - lo, _BLOCK_ELEMS)]
         np.multiply(g[blk], lr, out=s)
-        np.subtract(w[blk], s, out=o[blk])
+        np.subtract(w[blk], s, out=w[blk])
     return out
 
 
-def _rprop_update(w, g, delta, prev, w_out, delta_out, prev_out, bits,
-                  hold_zero, live):
-    """One Rprop transition of flat arrays, written to the *_out arrays.
+def _rprop_update(w, g, delta, prev, bits, hold_zero, live):
+    """One Rprop transition of flat arrays, in place: steps `w`, `delta`
+    and `prev` and only reads `g`.
 
     `bits` holds the int64 patterns (1.0 ^ eta_plus, 1.0 ^ eta_minus,
     inf ^ delta_max, delta_min). `live` is None when every weight is
@@ -219,7 +214,7 @@ def _rprop_update(w, g, delta, prev, w_out, delta_out, prev_out, bits,
     the gradient.
     """
     grow_eta, shrink_eta, ceil_bits, floor_bits = bits
-    g_bits, prev_bits, out_bits = g.view(I64), prev.view(I64), prev_out.view(I64)
+    g_bits, prev_bits = g.view(I64), prev.view(I64)
     live8 = None if live is None else live.view(I8)
     # block-sized scratch, shared by every block: two bool flags, three
     # int8 signs and four 64-bit words an element
@@ -254,12 +249,12 @@ def _rprop_update(w, g, delta, prev, w_out, delta_out, prev_out, bits,
 
         # delta' = delta * (eta_plus | eta_minus | 1), then capped at
         # delta_max on grow only and floored at delta_min on shrink only
-        d = delta_out[blk]
+        d = delta[blk]
         np.bitwise_and(grow, grow_eta, out=a)
         np.bitwise_and(shrink, shrink_eta, out=b)
         np.bitwise_xor(a, b, out=a)
         np.bitwise_xor(a, _ONE, out=a)
-        np.multiply(delta[blk], a_f, out=d)
+        np.multiply(d, a_f, out=d)
         np.bitwise_and(grow, ceil_bits, out=a)
         np.bitwise_xor(a, _INF, out=a)
         np.minimum(d, a_f, out=d)
@@ -275,10 +270,10 @@ def _rprop_update(w, g, delta, prev, w_out, delta_out, prev_out, bits,
         np.copyto(a_f, sg, casting="unsafe")
         np.multiply(a_f, d, out=a_f)
         np.bitwise_and(a, off_shrink, out=a)
-        np.subtract(w[blk], a_f, out=w_out[blk])
+        np.subtract(w[blk], a_f, out=w[blk])
 
         # stored gradient: g, cleared to +0 on shrink
-        stored = b if hold_zero else out_bits[blk]
+        stored = b if hold_zero else prev_bits[blk]
         np.bitwise_and(g_bits[blk], off_shrink, out=stored)
         if hold_zero:
             # held weights keep prev: frozen ones, and live ones with
@@ -293,7 +288,7 @@ def _rprop_update(w, g, delta, prev, w_out, delta_out, prev_out, bits,
             np.negative(pos8, out=held, casting="unsafe")
             np.bitwise_xor(stored, prev_bits[blk], out=a)
             np.bitwise_and(a, held, out=a)
-            np.bitwise_xor(a, stored, out=out_bits[blk])
+            np.bitwise_xor(a, stored, out=prev_bits[blk])
 
 
 def _live_weights(params: NetworkParams, mask: DropoutMask):
@@ -312,31 +307,31 @@ def _live_weights(params: NetworkParams, mask: DropoutMask):
 
 def _rprop(params, grads, state, cfg, mask, out):
     check_layout(params.specs, grads.weights, grads.biases, "gradient")
-    _check_state(params, state)
+    check_layout(params.specs, state.delta_w, state.delta_b, "optimizer step sizes")
+    check_layout(params.specs, state.prev_w, state.prev_b,
+                 "optimizer stored gradients")
     _check_finite(params, grads)
-    if out is None:
-        out = (params.copy(), state.copy())
-    else:
-        check_layout(params.specs, out[0].weights, out[0].biases, "output")
-        _check_state(params, out[1])
-    out_params, out_state = out
-    arrays = (params.flat, grads.flat, state.delta, state.prev,
-              out_params.flat, out_state.delta, out_state.prev)
-    for a in arrays:
+    for a in (params.flat, grads.flat, state.delta, state.prev):
         if a.dtype != F64:
             raise ValueError(f"Rprop kernels need float64 arrays, got {a.dtype}")
+    if out is None:
+        out = (params.copy(), state.copy())
+    elif not (isinstance(out, tuple) and len(out) == 2
+              and out[0] is params and out[1] is state):
+        raise ValueError("Rprop kernels: out must be None or (params, state) itself")
     live = None if mask is None else _live_weights(params, mask)
     bits = (_ONE ^ _bits(cfg.eta_plus), _ONE ^ _bits(cfg.eta_minus),
             _INF ^ _bits(cfg.delta_max), _bits(cfg.delta_min))
-    _rprop_update(*arrays, bits, mask is not None, live)
+    _rprop_update(out[0].flat, grads.flat, out[1].delta, out[1].prev, bits,
+                  mask is not None, live)
     return out
 
 
 def rprop_step(params: NetworkParams, grads: Gradients, state: RpropState,
                cfg: RpropConfig, *,
                out: tuple[NetworkParams, RpropState] | None = None):
-    """One classic Rprop transition. Returns (params', state'): `out`
-    when given (it may be `(params, state)` itself), else fresh copies."""
+    """One classic Rprop transition. Returns (params', state'): `out`,
+    stepped in place, when it is `(params, state)`, else stepped copies."""
     return _rprop(params, grads, state, cfg, None, out)
 
 

@@ -115,3 +115,38 @@ class TestClaimMet:
         s = bench_pairs.summarize(pairs(base, [b - 10 for b in base]),
                                   "higher")
         assert not bench_pairs.claim_met(s, "higher")
+
+
+class TestDifferingFiles:
+    def write(self, root, files):
+        for name, data in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
+
+    def test_identical_trees(self, tmp_path):
+        files = {"summary.txt": b"report\n", "sgd/model-seed1.ckpt": b"\0\1\2"}
+        self.write(tmp_path / "a", files)
+        self.write(tmp_path / "b", files)
+        assert bench_pairs.differing_files(tmp_path / "a", tmp_path / "b") == []
+
+    def test_one_byte_difference(self, tmp_path):
+        files = {"summary.txt": b"report\n", "sgd/model-seed1.ckpt": b"\0\1\2"}
+        self.write(tmp_path / "a", files)
+        self.write(tmp_path / "b", {**files, "sgd/model-seed1.ckpt": b"\0\1\3"})
+        assert bench_pairs.differing_files(tmp_path / "a", tmp_path / "b") == [
+            "sgd/model-seed1.ckpt"]
+
+    def test_a_file_only_one_tree_holds(self, tmp_path):
+        self.write(tmp_path / "a", {"summary.txt": b"x"})
+        self.write(tmp_path / "b", {"summary.txt": b"x", "extra.csv": b""})
+        assert bench_pairs.differing_files(tmp_path / "a", tmp_path / "b") == [
+            "extra.csv"]
+
+    def test_output_root_is_masked_in_config_and_spec(self, tmp_path):
+        for side in ("a", "b"):
+            root = tmp_path / side
+            self.write(root, {name: f"out_dir = {root}/sgd\n".encode()
+                              for name in ("sgd/config.txt", "bagging-2/spec.txt",
+                                           "sgd/other.txt")})
+        assert bench_pairs.differing_files(tmp_path / "a", tmp_path / "b") == [
+            "sgd/other.txt"]

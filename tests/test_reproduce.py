@@ -12,6 +12,10 @@ _spec = importlib.util.spec_from_file_location(
     "reproduce", ROOT / "scripts" / "reproduce.py")
 reproduce = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(reproduce)
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
 
 SHARED = ("arch = 784-8-10\nbatch_size = 100\ntrain_size = 200\n"
           "val_size = 100\nclock = counter\n")
@@ -33,27 +37,12 @@ def run(inputs, out, spec="ens.cfg"):
                            "--data", str(inputs / "digits"), "--out", str(out)])
 
 
-def tree(root):
-    """Every file under `root`, by relative path, with its bytes; in
-    config.txt and spec.txt, which record out_dir, `root` reads <out>."""
-    files = {}
-    for p in sorted(root.rglob("*")):
-        if p.is_file():
-            data = p.read_bytes()
-            if p.name in ("config.txt", "spec.txt"):
-                data = data.replace(str(root).encode(), b"<out>")
-            files[str(p.relative_to(root))] = data
-    return files
-
-
 def test_report_is_byte_reproducible(inputs, tmp_path, capsys):
     assert run(inputs, tmp_path / "a") == 0
     printed = capsys.readouterr().out
     assert run(inputs, tmp_path / "b") == 0
-    a, b = tree(tmp_path / "a"), tree(tmp_path / "b")
-    assert sorted(a) == sorted(b)
-    for name in a:
-        assert a[name] == b[name], name
+    assert bench_pairs.differing_files(tmp_path / "a", tmp_path / "b") == []
+    a = bench_pairs.tree_bytes(tmp_path / "a")
     assert b"<out>" in a["sgd/config.txt"]
     for opt in ("sgd", "rprop", "mod-rprop"):
         for name in ("runs.csv", "metrics-seed1.csv", "final-seed2.ckpt"):
