@@ -33,10 +33,12 @@ set-up.
 `--artifacts` instead checks that a change leaves every artifact byte
 for byte as it was. It writes one small synthetic corpus and runs
 `scripts/reproduce.py` on it (784-8-10, one epoch, seeds 1-2, ensembles
-of 2, `clock = counter`) once from the base tree and once from the
-working tree, names every file whose bytes differ or that only one run
-wrote, and exits 1 if there is any. The output root, which config.txt
-and spec.txt record, is masked before the comparison.
+of 2, `clock = counter`) from the base tree and from the working tree,
+twice each: at hidden dropout 0.5 and batch 100, then with no dropout
+and the single models at full batch (see ARTIFACT_RUNS). It names every
+file whose bytes differ or that only one side wrote, and exits 1 if
+there is any. The output root, which config.txt and spec.txt record, is
+masked before the comparison.
 
     python3 scripts/bench_pairs.py --base HEAD --artifacts
 """
@@ -53,8 +55,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ARTIFACT_CFG = ("arch = 784-8-10\nbatch_size = 100\ntrain_size = 200\n"
-                "val_size = 100\nclock = counter\n")
+ARTIFACT_CFG = ("arch = 784-8-10\ntrain_size = 200\nval_size = 100\n"
+                "clock = counter\n")
+# Per artifact run: its experiment file's and its ensemble file's own
+# lines. The second run trains every network unmasked, the single models
+# full batch.
+ARTIFACT_RUNS = {
+    "dropout": ("batch_size = 100\n", "batch_size = 100\n"),
+    "nodrop-fullbatch": ("batch_size = 200\ndropout_hidden = 0\n",
+                         "batch_size = 100\ndropout_hidden = 0\n"),
+}
 TRACE_KEYS = ("harness.run_experiment.optimizer_frac",
               "harness.run_experiment.network_frac",
               "optimizers.sgd_step.calls", "optimizers.rprop_step.calls",
@@ -124,32 +134,46 @@ def differing_files(a: Path, b: Path) -> list[str]:
     return sorted(n for n in ta.keys() | tb.keys() if ta.get(n) != tb.get(n))
 
 
+def artifact_files(name: str) -> tuple[str, str]:
+    """The experiment and ensemble file texts of artifact run `name`."""
+    exp, ens = ARTIFACT_RUNS[name]
+    return (ARTIFACT_CFG + exp + "epochs = 1\nseeds = 1,2\n",
+            ARTIFACT_CFG + ens + "size = 2\nmember_epochs = 1\n"
+            "stacker_epochs = 1\n")
+
+
 def compare_artifacts(trees: dict[str, Path], tmp: Path) -> int:
     """Runs `scripts/reproduce.py` of each tree on one small synthetic
-    corpus, prints every artifact that differs, and returns the exit
-    code: 1 if a run failed or an artifact differs, else 0."""
+    corpus, once per ARTIFACT_RUNS entry, prints every artifact that
+    differs, and returns the exit code: 1 if a run failed or an artifact
+    differs, else 0."""
     sys.path.insert(0, str(ROOT / "src"))
     from resprop.synthetic import write_corpus
     write_corpus(tmp / "digits", n_train=300, n_test=100, seed=5)
-    (tmp / "exp.cfg").write_text(ARTIFACT_CFG + "epochs = 1\nseeds = 1,2\n")
-    (tmp / "ens.cfg").write_text(
-        ARTIFACT_CFG + "size = 2\nmember_epochs = 1\nstacker_epochs = 1\n")
-    for side, tree in trees.items():
-        proc = subprocess.run(
-            [sys.executable, str(tree / "scripts" / "reproduce.py"),
-             "--config", str(tmp / "exp.cfg"), "--spec", str(tmp / "ens.cfg"),
-             "--data", str(tmp / "digits"), "--out", str(tmp / f"out-{side}")],
-            capture_output=True, text=True)
-        if proc.returncode:
-            print(f"NONZERO EXIT {proc.returncode}: reproduce.py of {side}\n"
-                  f"{proc.stderr.strip()}")
-            return 1
-    differ = differing_files(tmp / "out-base", tmp / "out-change")
-    for name in differ:
-        print(f"DIFFERS: {name}")
-    print(f"{len(differ)} of {len(tree_bytes(tmp / 'out-change'))} artifacts "
-          f"differ")
-    return 1 if differ else 0
+    code = 0
+    for name in ARTIFACT_RUNS:
+        exp, ens = artifact_files(name)
+        (tmp / f"{name}.cfg").write_text(exp)
+        (tmp / f"{name}-ens.cfg").write_text(ens)
+        outs = {side: tmp / f"out-{name}-{side}" for side in trees}
+        for side, tree in trees.items():
+            proc = subprocess.run(
+                [sys.executable, str(tree / "scripts" / "reproduce.py"),
+                 "--config", str(tmp / f"{name}.cfg"),
+                 "--spec", str(tmp / f"{name}-ens.cfg"),
+                 "--data", str(tmp / "digits"), "--out", str(outs[side])],
+                capture_output=True, text=True)
+            if proc.returncode:
+                print(f"NONZERO EXIT {proc.returncode}: reproduce.py of "
+                      f"{side}, {name} run\n{proc.stderr.strip()}")
+                return 1
+        differ = differing_files(outs["base"], outs["change"])
+        for path in differ:
+            print(f"DIFFERS: {name}/{path}")
+        print(f"{name}: {len(differ)} of {len(tree_bytes(outs['change']))} "
+              f"artifacts differ")
+        code |= bool(differ)
+    return code
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:

@@ -43,6 +43,8 @@ def reproduce(args) -> None:
     cfg = replace(harness.read_config(args.config), data_dir=args.data)
     spec = replace(harness.read_ensemble_config(args.spec), data_dir=args.data)
     sizes = tuple(int(s) for s in (args.sizes or str(spec.size)).split(","))
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"--sizes {args.sizes} repeats a size")
     specs = {n: replace(spec, size=n) for n in sizes}  # checks every size
     if len(cfg.seeds) < 2:
         raise ValueError("the paired comparisons need at least 2 seeds")

@@ -16,6 +16,7 @@ are taken in file order: the first `train_size` examples train, the next
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -52,8 +53,8 @@ def parse_idx(data: bytes) -> np.ndarray:
             f"{ndim} dims need {header_len} header bytes"
         )
     dims = struct.unpack(f">{ndim}I", data[4:header_len])
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    if count < 0 or count > 1 << 40:
+    count = math.prod(dims)  # exact: an int64 product of 4 dims can wrap
+    if count > 1 << 40:
         raise IdxFormatError(f"IDX dims {dims} overflow a sane payload size")
     expected_end = header_len + count
     if len(data) < expected_end:

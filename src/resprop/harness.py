@@ -169,11 +169,10 @@ class _RunSettings:
         return RpropConfig(self.eta_plus, self.eta_minus, self.delta_max,
                            self.delta_min, self.delta_init)
 
-    def dropout_spec(self) -> Optional[DropoutSpec]:
-        """Dropout for the `arch` network; None when both rates are 0."""
-        spec = DropoutSpec.for_sizes(self.arch, self.dropout_hidden,
+    def dropout_spec(self) -> DropoutSpec:
+        """Dropout for the `arch` network, both rates 0 included."""
+        return DropoutSpec.for_sizes(self.arch, self.dropout_hidden,
                                      self.dropout_input)
-        return None if spec.is_off else spec
 
 
 @dataclass(frozen=True, kw_only=True)

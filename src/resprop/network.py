@@ -167,6 +167,15 @@ def locate(specs, i: int) -> tuple[int, str, tuple]:
     raise IndexError("flat index beyond the model's buffer")
 
 
+def check_finite(specs, flat: np.ndarray, what: str) -> None:
+    """Raises ValueError naming the first non-finite entry of `flat`, in
+    a model's layout: `non-finite WHAT at layer L NAME, index (i, j)`."""
+    ok = np.isfinite(flat)
+    if not ok.all():
+        layer, name, idx = locate(specs, int(np.argmin(ok)))  # first False
+        raise ValueError(f"non-finite {what} at layer {layer} {name}, index {idx}")
+
+
 @dataclass
 class NetworkParams:
     """Per-layer weight matrices and bias vectors, views into `flat`

@@ -65,8 +65,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dropout import DropoutMask
-from .network import (Gradients, NetworkParams, check_layout, check_mask,
-                      flat_views, flatten, layout, locate)
+from .network import (Gradients, NetworkParams, check_finite, check_layout,
+                      check_mask, flat_views, flatten, layout)
 
 logger = logging.getLogger(__name__)
 
@@ -174,20 +174,12 @@ def _bits(x) -> np.int64:
 _ONE, _INF = _bits(1.0), _bits(np.inf)
 
 
-def _check_finite(params: NetworkParams, grads: Gradients) -> None:
-    if np.isfinite(grads.flat).all():
-        return
-    i = int(np.flatnonzero(~np.isfinite(grads.flat))[0])
-    layer, name, idx = locate(params.specs, i)
-    raise ValueError(f"non-finite gradient at layer {layer} {name}, index {idx}")
-
-
 def sgd_step(params: NetworkParams, grads: Gradients, cfg: SgdConfig, *,
              out: NetworkParams | None = None) -> NetworkParams:
     """w <- w - learning_rate * g, elementwise. Returns the stepped params:
     `params` itself when `out` is `params`, else a stepped copy."""
     check_layout(params.specs, grads.weights, grads.biases, "gradient")
-    _check_finite(params, grads)
+    check_finite(params.specs, grads.flat, "gradient")
     if out is None:
         out = params.copy()
     elif out is not params:
@@ -310,7 +302,7 @@ def _rprop(params, grads, state, cfg, mask, out):
     check_layout(params.specs, state.delta_w, state.delta_b, "optimizer step sizes")
     check_layout(params.specs, state.prev_w, state.prev_b,
                  "optimizer stored gradients")
-    _check_finite(params, grads)
+    check_finite(params.specs, grads.flat, "gradient")
     for a in (params.flat, grads.flat, state.delta, state.prev):
         if a.dtype != F64:
             raise ValueError(f"Rprop kernels need float64 arrays, got {a.dtype}")

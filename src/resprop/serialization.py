@@ -27,8 +27,8 @@ the same as when each array was written on its own.
                 delta_init (optional, present with the state sections)
 
 Unknown section tags are skipped on read, so newer files with extra
-sections stay loadable. A repeated known tag, or a "delta" section
-without "prevgrad" (or the reverse), is rejected.
+sections stay loadable. A repeated known tag, half the Rprop state
+("delta" or "prevgrad" alone) or a non-finite array value is rejected.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import LayerSpec, NetworkParams, layout
+from .network import LayerSpec, NetworkParams, check_finite, layout
 from .optimizers import RpropConfig, RpropState
 
 MAGIC = b"RPN1"
@@ -57,12 +57,15 @@ def _pack_flat(flat: np.ndarray) -> np.ndarray:
     return flat.astype("<f8", copy=False).view(np.uint8)
 
 
-def _unpack_flat(payload: memoryview, specs) -> np.ndarray:
+def _unpack_flat(sections: dict, tag: str, specs) -> np.ndarray:
+    payload = sections[tag]
     expected = 8 * sum(map(math.prod, layout(specs)))
     if len(payload) != expected:
         raise ValueError(f"array section length {len(payload)} does not match "
                          f"the declared layer shapes (expected {expected})")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    check_finite(specs, flat, f"value in checkpoint section {tag!r}")
+    return flat
 
 
 def _section(tag: str, payload) -> list:
@@ -155,15 +158,15 @@ def load_checkpoint(path):
 
     if "params" not in sections:
         raise ValueError("checkpoint is missing its params section")
-    params = NetworkParams.from_flat(specs, _unpack_flat(sections["params"], specs))
+    params = NetworkParams.from_flat(specs, _unpack_flat(sections, "params", specs))
 
     state = None
     if ("delta" in sections) != ("prevgrad" in sections):
         missing = "prevgrad" if "delta" in sections else "delta"
         raise ValueError(f"checkpoint is missing its {missing} section")
     if "delta" in sections:
-        state = RpropState.from_flat(specs, _unpack_flat(sections["delta"], specs),
-                                     _unpack_flat(sections["prevgrad"], specs))
+        state = RpropState.from_flat(specs, _unpack_flat(sections, "delta", specs),
+                                     _unpack_flat(sections, "prevgrad", specs))
 
     cfg = None
     if "rprophp" in sections:

@@ -1,14 +1,14 @@
 """Minibatch training loop: per-epoch validation, timing, model selection.
 
-One epoch is one pass over the shuffled training set in minibatches.
-Given `rows`, the training set is those rows of the dataset (repeats
-allowed, as in a bootstrap resample), gathered per minibatch from the
-shared arrays, so no resampled copy of the data is ever built.
-One optimizer invocation happens per minibatch; when dropout is active a
-fresh mask is sampled for every minibatch and applied in both the
-forward and backward passes. The mod-rprop optimizer additionally
-receives the mask inside its update rule; sgd and classic rprop see
-only the masked gradients.
+One epoch is one pass over the shuffled training set in minibatches:
+the given rows of the dataset (every row by default; repeats allowed,
+as in a bootstrap resample), gathered per minibatch from the shared
+arrays, so no resampled copy is ever built. Every step takes the next
+mask, runs forward and backward through it and invokes its optimizer
+once. Under dropout each mask is freshly sampled; otherwise every step
+gets one all-ones mask, which forward and backward skip exactly. The
+mod-rprop optimizer additionally receives the mask inside its update
+rule; sgd and classic rprop see only the masked gradients.
 
 The per-epoch training loss is the example-weighted mean of the
 minibatch losses, i.e. the mean loss over every training example as it
@@ -210,11 +210,11 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
 
     Minibatches are gathered by `train.batch` into one buffer per run,
     `backward` writes its deltas into the step's forward cache, and each
-    step frees its other buffers before the next. With `rows`
-    (1-D integer indices into `train`, repeats allowed), training runs
-    on those rows in that order, exactly as on a `Dataset` of them: each
-    epoch shuffles positions in `rows` and each minibatch gathers from
-    `train`, so the resampled set is never materialized.
+    step frees its other buffers before the next. Training runs on
+    `rows` (1-D integer indices into `train`, repeats allowed; all rows
+    when None) as on a `Dataset` of them, each epoch shuffling positions
+    in `rows`. Only here is dropout decided: a `dropout` that is None or
+    off gives every step one all-ones mask.
 
     Best means lowest validation error; ties go to the earliest epoch.
     Rprop-family state starts from `opt_cfg`. `params` is not modified:
@@ -227,8 +227,8 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if len(train) == 0:
         raise ValueError("training set is empty")
-    if rows is not None:
-        rows = _check_rows(rows, len(train))
+    rows = (np.arange(len(train)) if rows is None
+            else _check_rows(rows, len(train)))
     if optimizer not in OPTIMIZER_NAMES:
         raise ValueError(
             f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_NAMES}"
@@ -241,17 +241,16 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
         )
     clock = clock if clock is not None else wall_clock
 
-    drop_active = dropout is not None and not dropout.is_off
+    n = len(rows)
     shuffle_rng = RngStream(seed, stream_base + STREAM_SHUFFLE)
-    mask_rng = RngStream(seed, stream_base + STREAM_DROPOUT)
-    ones_mask = all_ones_mask(params.specs) if optimizer == "mod-rprop" else None
     params = params.copy()
     state = None if optimizer == "sgd" else init_rprop_state(params, opt_cfg)
-
-    n = len(train) if rows is None else len(rows)
-    masks = (_training_masks(dropout, params.specs, mask_rng,
-                             epoch_cap * -(-n // batch_size))
-             if drop_active else None)
+    if dropout is None or dropout.is_off:
+        masks = itertools.repeat(all_ones_mask(params.specs))
+    else:
+        masks = _training_masks(dropout, params.specs,
+                                RngStream(seed, stream_base + STREAM_DROPOUT),
+                                epoch_cap * -(-n // batch_size))
     history: list[EpochRow] = []
     best_epoch = 0
     best_err = np.inf
@@ -260,15 +259,13 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
     buf = np.empty((min(batch_size, n), train.pixels.shape[1]))
     t0 = clock()
     for epoch in range(1, epoch_cap + 1):
-        order = shuffle_rng.permutation(n)
-        if rows is not None:
-            order = rows[order]
+        order = rows[shuffle_rng.permutation(n)]
         loss_sum = 0.0
         for lo in range(0, n, batch_size):
             idx = order[lo:lo + batch_size]
             xb = train.batch(idx, out=buf[:len(idx)])
             yb = train.labels[idx]
-            mask = next(masks) if drop_active else None
+            mask = next(masks)
             cache = forward(params, xb, mask)
             batch_loss = nll_loss(cache.probabilities, yb)
             if not np.isfinite(batch_loss):
@@ -281,8 +278,7 @@ def train_model(params: NetworkParams, train: Dataset, validation: Dataset,
             elif optimizer == "rprop":
                 rprop_step(params, grads, state, opt_cfg, out=(params, state))
             else:
-                dropout_rprop_step(params, grads, state, opt_cfg,
-                                   mask if drop_active else ones_mask,
+                dropout_rprop_step(params, grads, state, opt_cfg, mask,
                                    out=(params, state))
             # free this step's buffers before the next step makes its own
             del xb, yb, mask, cache, grads

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from resprop import harness
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
@@ -150,3 +152,23 @@ class TestDifferingFiles:
                                            "sgd/other.txt")})
         assert bench_pairs.differing_files(tmp_path / "a", tmp_path / "b") == [
             "sgd/other.txt"]
+
+
+class TestArtifactRuns:
+    def configs(self, tmp_path, name):
+        exp, ens = bench_pairs.artifact_files(name)
+        (tmp_path / "exp.cfg").write_text(exp)
+        (tmp_path / "ens.cfg").write_text(ens)
+        return (harness.read_config(tmp_path / "exp.cfg"),
+                harness.read_ensemble_config(tmp_path / "ens.cfg"))
+
+    def test_first_run_trains_under_dropout(self, tmp_path):
+        cfg, spec = self.configs(tmp_path, "dropout")
+        assert cfg.dropout_hidden == spec.dropout_hidden == 0.5
+        assert cfg.batch_size < cfg.train_size
+
+    def test_second_run_trains_unmasked_and_full_batch(self, tmp_path):
+        cfg, spec = self.configs(tmp_path, "nodrop-fullbatch")
+        assert cfg.dropout_spec().is_off and spec.dropout_spec().is_off
+        assert spec.stacker_dropout_hidden == 0.0
+        assert cfg.batch_size == cfg.train_size

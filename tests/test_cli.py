@@ -242,6 +242,21 @@ class TestEvaluate:
             assert rc == 2, n
             assert err.startswith("error: ") and "checkpoint" in err, (n, err)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_exits_2(self, corpus_dir, tmp_path, capsys,
+                                       value):
+        params = init_params(chain_specs((784, 8, 10)), RngStream(5, 0))
+        params.weights[0][7, 3] = value
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, params)
+        rc = main(["evaluate", "--model", str(path), "--data", str(corpus_dir),
+                   "--test-size", "30"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == ("error: non-finite value in checkpoint section "
+                                "'params' at layer 0 weights, index (7, 3)\n")
+        assert captured.out == ""
+
 
 class TestEnsemble:
     def test_trains_and_saves(self, corpus_dir, tmp_path, capsys):

@@ -79,6 +79,13 @@ class TestParseIdx:
         with pytest.raises(IdxFormatError, match="overflow"):
             parse_idx(data)
 
+    def test_dims_whose_product_wraps_int64(self):
+        # 65536 ** 4 == 2 ** 64, which an int64 product wraps to 0
+        data = struct.pack(">HBB", 0, 0x08, 4) + struct.pack(">IIII", *[1 << 16] * 4)
+        assert len(data) == 20
+        with pytest.raises(IdxFormatError, match="overflow"):
+            parse_idx(data)
+
     def test_round_trip_bytes_identical(self):
         for fixture in (image_fixture(), label_fixture([0, 9, 5])):
             assert serialize_idx(parse_idx(fixture)) == fixture

@@ -27,6 +27,7 @@ from resprop.ensemble import (
 )
 from resprop.network import chain_specs, init_params
 from resprop.optimizers import RpropConfig
+from resprop.serialization import save_checkpoint
 from resprop.tensor import RngStream
 from resprop.training import (
     MEMBER_STREAM_STRIDE,
@@ -510,4 +511,15 @@ class TestSaveLoad:
         del manifest[key]
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            load_ensemble(tmp_path)
+
+    def test_member_with_a_nan_is_a_value_error(self, tmp_path):
+        t = train_ensemble(bagging_spec(size=2, epochs=1), toy_splits(),
+                           RpropConfig(), seed=3, batch_size=8)
+        save_ensemble(tmp_path, t, seed=3)
+        params = t.model.members[1]
+        params.biases[0][2] = np.nan
+        save_checkpoint(tmp_path / "member-01.ckpt", params)
+        with pytest.raises(ValueError, match="non-finite value in checkpoint "
+                           r"section 'params' at layer 0 biases, index \(2,\)"):
             load_ensemble(tmp_path)

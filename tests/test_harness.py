@@ -208,10 +208,11 @@ class TestExperimentConfigValidation:
         assert isinstance(rp, RpropConfig)
         assert rp.delta_init == 0.02
 
-    def test_dropout_spec_off_is_none(self):
-        assert toy_config(dropout_hidden=0.0).dropout_spec() is None
+    def test_dropout_spec_off_when_rates_zero(self):
+        off = toy_config(dropout_hidden=0.0).dropout_spec()
+        assert off.is_off and off.rates == (0.0, 0.0)
         spec = toy_config(dropout_hidden=0.5).dropout_spec()
-        assert spec is not None and spec.rates == (0.0, 0.5)
+        assert not spec.is_off and spec.rates == (0.0, 0.5)
 
 
 def make_rows(val_errs, losses=None):
@@ -577,8 +578,8 @@ class TestEnsembleConfig:
 
     def test_member_dropout_off_when_rates_zero(self):
         cfg = parse_ensemble_config("dropout_hidden = 0\n")
-        assert cfg.dropout_spec() is None
-        assert parse_ensemble_config("").dropout_spec() is not None
+        assert cfg.dropout_spec().is_off
+        assert not parse_ensemble_config("").dropout_spec().is_off
 
     def test_optimizer_config_fields(self):
         cfg = parse_ensemble_config("delta_init = 0.003\ndelta_max = 5\n")

@@ -31,10 +31,11 @@ def inputs(tmp_path_factory):
     return root
 
 
-def run(inputs, out, spec="ens.cfg"):
+def run(inputs, out, spec="ens.cfg", *extra):
     return reproduce.main(["--config", str(inputs / "exp.cfg"),
                            "--spec", str(inputs / spec),
-                           "--data", str(inputs / "digits"), "--out", str(out)])
+                           "--data", str(inputs / "digits"), "--out", str(out),
+                           *extra])
 
 
 def test_report_is_byte_reproducible(inputs, tmp_path, capsys):
@@ -62,5 +63,13 @@ def test_unknown_spec_key_exits_2(inputs, tmp_path, capsys):
     assert run(inputs, tmp_path / "out", spec="bad.cfg") == 2
     captured = capsys.readouterr()
     assert captured.err == "error: ensemble spec line 2: unknown key 'boost'\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_size_exits_2(inputs, tmp_path, capsys):
+    assert run(inputs, tmp_path / "out", "ens.cfg", "--sizes", "2,2") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --sizes 2,2 repeats a size\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()

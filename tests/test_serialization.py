@@ -321,3 +321,24 @@ class TestRobustness:
         path.write_bytes(bytes(data) + bytes(data[32:]))  # params, twice
         with pytest.raises(ValueError, match="repeats section 'params'"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("section,at", [
+        ("params", "layer 1 weights, index (2, 1)"),
+        ("delta", "layer 0 biases, index (3,)"),
+        ("prevgrad", "layer 0 weights, index (1, 4)"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, params, value,
+                                       section, at):
+        cfg = RpropConfig()
+        state = init_rprop_state(params, cfg)
+        array, where = {"params": (params.weights[1], (2, 1)),
+                        "delta": (state.delta_b[0], (3,)),
+                        "prevgrad": (state.prev_w[0], (1, 4))}[section]
+        array[where] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, state, cfg)
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (f"non-finite value in checkpoint section "
+                                  f"'{section}' at {at}")

@@ -196,7 +196,8 @@ KERNELS = {"sgd": "sgd_step", "rprop": "rprop_step",
 
 
 class TestKernelDispatch:
-    @pytest.mark.parametrize("dropout", [None, DropoutSpec((0.0, 0.5))])
+    @pytest.mark.parametrize("dropout", [None, DropoutSpec((0.0, 0.5)),
+                                         DropoutSpec((0.0, 0.0))])
     @pytest.mark.parametrize("optimizer,cfg", [
         ("sgd", SgdConfig(0.1)),
         ("rprop", RpropConfig(delta_init=0.01)),
@@ -213,12 +214,17 @@ class TestKernelDispatch:
                 _seen.append(args)
                 return _kernel(*args, **kwargs)
             monkeypatch.setattr(training, name, counted)
-        sampled = []
+        sampled, forwarded = [], []
 
         def recorded(*args, _sample=training.sample_masks):
             sampled.extend(masks := _sample(*args))
             return masks
         monkeypatch.setattr(training, "sample_masks", recorded)
+
+        def fwd(params, x, mask, _forward=training.forward):
+            forwarded.append(mask)
+            return _forward(params, x, mask)
+        monkeypatch.setattr(training, "forward", fwd)
 
         epochs, batch = 2, 32
         fit(toy_splits, optimizer, cfg, epochs=epochs, batch=batch,
@@ -227,16 +233,20 @@ class TestKernelDispatch:
         kernel = KERNELS[optimizer]
         assert {name: len(seen) for name, seen in calls.items()} == \
                {name: steps if name == kernel else 0 for name in calls}
-        assert len(sampled) == (0 if dropout is None else steps)
-        if optimizer != "mod-rprop":
-            return
-        masks = [args[4] for args in calls[kernel]]
-        if dropout is not None:
-            assert all(got is want for got, want in zip(masks, sampled))
+        assert len(forwarded) == steps
+        if dropout is None or dropout.is_off:
+            # every step forwards one all-ones mask
+            assert sampled == []
+            assert all(m is forwarded[0] for m in forwarded)
+            assert all(m.all() for m in forwarded[0].node_masks)
+            assert forwarded[0].scales == [1.0] * len(forwarded[0].scales)
         else:
-            assert all(m is masks[0] for m in masks)
-            assert all(m.all() for m in masks[0].node_masks)
-            assert masks[0].scales == [1.0] * len(masks[0].scales)
+            assert len(sampled) == steps
+            assert all(got is want for got, want in zip(forwarded, sampled))
+        if optimizer == "mod-rprop":
+            # the kernel gets the very mask its step forwarded
+            assert all(args[4] is mask for args, mask
+                       in zip(calls[kernel], forwarded))
 
 
 class TestValidationOfArguments:
