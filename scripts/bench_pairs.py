@@ -30,15 +30,17 @@ Run it from anywhere inside the repository, on an otherwise idle
 machine: the runs are sequential and each takes `--seconds` plus its
 set-up.
 
-`--artifacts` instead checks that a change leaves every artifact byte
-for byte as it was. It writes one small synthetic corpus and runs
-`scripts/reproduce.py` on it (784-8-10, one epoch, seeds 1-2, ensembles
-of 2, `clock = counter`) from the base tree and from the working tree,
-twice each: at hidden dropout 0.5 and batch 100, then with no dropout
-and the single models at full batch (see ARTIFACT_RUNS). It names every
-file whose bytes differ or that only one side wrote, and exits 1 if
-there is any. The output root, which config.txt and spec.txt record, is
-masked before the comparison.
+`--artifacts` instead checks that a change leaves every corpus and
+artifact byte for byte as it was. The base tree and the working tree
+each write a small synthetic corpus with their own `resprop synth`
+(CORPUS_ARGS), and the two corpora's IDX files are compared. Then each
+tree runs its own `scripts/reproduce.py` on its own corpus (784-8-10,
+one epoch, seeds 1-2, ensembles of 2, `clock = counter`), twice: at
+hidden dropout 0.5 and batch 100, then with no dropout and the single
+models at full batch (see ARTIFACT_RUNS). It names every file whose
+bytes differ or that only one side wrote, and exits 1 if there is any.
+The output root, which config.txt and spec.txt record, is masked before
+the comparison.
 
     python3 scripts/bench_pairs.py --base HEAD --artifacts
 """
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -55,6 +58,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CORPUS_ARGS = ("--train", "300", "--test", "100", "--seed", "5")
 ARTIFACT_CFG = ("arch = 784-8-10\ntrain_size = 200\nval_size = 100\n"
                 "clock = counter\n")
 # Per artifact run: its experiment file's and its ensemble file's own
@@ -142,37 +146,64 @@ def artifact_files(name: str) -> tuple[str, str]:
             "stacker_epochs = 1\n")
 
 
+def report_differences(label: str, a: Path, b: Path, what: str) -> int:
+    """Prints each file that differs between the trees `a` and `b` and
+    their count; returns 1 if any differs, else 0."""
+    differ = differing_files(a, b)
+    for path in differ:
+        print(f"DIFFERS: {label}/{path}")
+    print(f"{label}: {len(differ)} of {len(tree_bytes(b))} {what} differ")
+    return int(bool(differ))
+
+
+def write_corpora(trees: dict[str, Path], tmp: Path) -> dict | None:
+    """Each tree's own `resprop synth` writes the artifact corpus; returns
+    each side's corpus directory, or None, after printing why, if a run
+    failed."""
+    corpora = {side: tmp / side / "digits" for side in trees}
+    for side, tree in trees.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "resprop", "synth",
+             "--out", str(corpora[side]), *CORPUS_ARGS],
+            env={**os.environ, "PYTHONPATH": str(tree / "src")},
+            capture_output=True, text=True)
+        if proc.returncode:
+            print(f"NONZERO EXIT {proc.returncode}: resprop synth of {side}"
+                  f"\n{proc.stderr.strip()}")
+            return None
+    return corpora
+
+
 def compare_artifacts(trees: dict[str, Path], tmp: Path) -> int:
-    """Runs `scripts/reproduce.py` of each tree on one small synthetic
-    corpus, once per ARTIFACT_RUNS entry, prints every artifact that
-    differs, and returns the exit code: 1 if a run failed or an artifact
+    """Compares the corpora each tree writes (`write_corpora`), then runs
+    `scripts/reproduce.py` of each tree on its own corpus, once per
+    ARTIFACT_RUNS entry, prints every artifact that differs, and returns
+    the exit code: 1 if a run failed, or a corpus file or an artifact
     differs, else 0."""
-    sys.path.insert(0, str(ROOT / "src"))
-    from resprop.synthetic import write_corpus
-    write_corpus(tmp / "digits", n_train=300, n_test=100, seed=5)
-    code = 0
+    corpora = write_corpora(trees, tmp)
+    if corpora is None:
+        return 1
+    code = report_differences("corpus", corpora["base"], corpora["change"],
+                              "files")
     for name in ARTIFACT_RUNS:
         exp, ens = artifact_files(name)
         (tmp / f"{name}.cfg").write_text(exp)
         (tmp / f"{name}-ens.cfg").write_text(ens)
         outs = {side: tmp / f"out-{name}-{side}" for side in trees}
         for side, tree in trees.items():
+            # a relative --data, so config.txt and spec.txt read the same
             proc = subprocess.run(
                 [sys.executable, str(tree / "scripts" / "reproduce.py"),
                  "--config", str(tmp / f"{name}.cfg"),
                  "--spec", str(tmp / f"{name}-ens.cfg"),
-                 "--data", str(tmp / "digits"), "--out", str(outs[side])],
-                capture_output=True, text=True)
+                 "--data", corpora[side].name, "--out", str(outs[side])],
+                cwd=corpora[side].parent, capture_output=True, text=True)
             if proc.returncode:
                 print(f"NONZERO EXIT {proc.returncode}: reproduce.py of "
                       f"{side}, {name} run\n{proc.stderr.strip()}")
                 return 1
-        differ = differing_files(outs["base"], outs["change"])
-        for path in differ:
-            print(f"DIFFERS: {name}/{path}")
-        print(f"{name}: {len(differ)} of {len(tree_bytes(outs['change']))} "
-              f"artifacts differ")
-        code |= bool(differ)
+        code |= report_differences(name, outs["base"], outs["change"],
+                                   "artifacts")
     return code
 
 

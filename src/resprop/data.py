@@ -6,7 +6,8 @@ dimension-count byte, then one big-endian uint32 size per dimension,
 followed by the raw payload. Image files carry magic 0x00000803
 (2051, three dims n x rows x cols); label files carry 0x00000801
 (2049, one dim). Gzip-compressed files are detected by their two-byte
-signature and decompressed transparently.
+signature and decompressed transparently. Every format error names the
+file; a parsed array views the bytes read, and each split copies its rows.
 
 Loaded pixels stay uint8 until `Dataset.batch` scales them by 1/255. Splits
 are taken in file order: the first `train_size` examples train, the next
@@ -34,7 +35,7 @@ class IdxFormatError(ValueError):
 
 
 def parse_idx(data: bytes) -> np.ndarray:
-    """Parse IDX bytes into a uint8 array of the declared shape."""
+    """Parse IDX bytes into a uint8 array of the declared shape, a view."""
     if len(data) < 4:
         raise IdxFormatError(
             f"truncated IDX header: got {len(data)} bytes at offset 0, need 4"
@@ -46,6 +47,8 @@ def parse_idx(data: bytes) -> np.ndarray:
             f"bad IDX magic 0x{magic:08X} at offset 0 "
             f"(expected unsigned-byte magic 2051 or 2049)"
         )
+    if ndim == 0:
+        raise IdxFormatError("IDX header declares 0 dimensions at offset 3")
     header_len = 4 + 4 * ndim
     if len(data) < header_len:
         raise IdxFormatError(
@@ -68,28 +71,34 @@ def parse_idx(data: bytes) -> np.ndarray:
             f"{len(data)}, expected {expected_end}"
         )
     arr = np.frombuffer(data, dtype=np.uint8, offset=header_len, count=count)
-    return arr.reshape(dims).copy()
+    return arr.reshape(dims)
+
+
+def idx_header(arr: np.ndarray) -> bytes:
+    """The IDX header of a uint8 array; its C-order bytes follow it."""
+    if arr.dtype != np.uint8 or arr.ndim == 0:
+        raise ValueError(f"IDX needs uint8 in 1+ dims, got {arr.dtype} in {arr.ndim}")
+    return struct.pack(f">HBB{arr.ndim}I", 0, _IDX_UBYTE, arr.ndim, *arr.shape)
 
 
 def serialize_idx(arr: np.ndarray) -> bytes:
     """Inverse of parse_idx: uint8 array back to IDX bytes."""
     arr = np.asarray(arr)
-    if arr.dtype != np.uint8:
-        raise ValueError(f"IDX serialization needs uint8 data, got {arr.dtype}")
-    header = struct.pack(">HBB", 0, _IDX_UBYTE, arr.ndim)
-    header += struct.pack(f">{arr.ndim}I", *arr.shape)
-    return header + np.ascontiguousarray(arr).tobytes()
+    return idx_header(arr) + np.ascontiguousarray(arr).tobytes()
 
 
 def read_idx(path) -> np.ndarray:
-    """Read an IDX file, decompressing gzip transparently."""
+    """Read an IDX file, decompressing gzip transparently; a view."""
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
         try:
             raw = gzip.decompress(raw)
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise IdxFormatError(f"corrupt gzip file {path}: {exc}") from None
-    return parse_idx(raw)
+    try:
+        return parse_idx(raw)
+    except IdxFormatError as exc:
+        raise IdxFormatError(f"{path}: {exc}") from None
 
 
 @dataclass

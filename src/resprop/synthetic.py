@@ -20,12 +20,12 @@ low + (high - low) * u, as `RngStream.integers` and `uniform` make them.
 This order is the corpus's definition: the bytes for a (seed, n) pair
 never change.
 
-Rendering is chunked. For each chunk of `_CHUNK` examples a scalar pass
-peeks, without consuming, at the two draws that decide an example's
-length (scale and occlusion test) to locate every example's draws; one
-block call then takes all of the chunk's draws, and the examples are
-rendered together per glyph scale with array operations, in the same
-floating-point order as rendering one example at a time.
+Rendering is chunked. A chunk computes, unconsumed, the unit draws of
+`_CHUNK` examples of the longest kind, reads the two draws that decide
+each example's length (scale and occlusion test) to lay out as many as
+surely fit, and consumes exactly their draws. They are rendered per glyph
+scale and jitter offset with array operations on runs of their draws, in
+the same floating-point order as rendering one example at a time.
 
 This is a stand-in with the same container format, shapes and label
 space as the real data, not a substitute for benchmarking against
@@ -37,8 +37,10 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import STANDARD_NAMES, serialize_idx
+from .data import STANDARD_NAMES, idx_header
+from .serialization import write_atomic
 from .tensor import RngStream
 
 _GLYPHS = {
@@ -69,11 +71,15 @@ _BITMAPS = np.stack([_bitmap(d) for d in range(10)])    # (10, 7, 5)
 
 # Offsets of an example's draws from its first (the order in the module
 # docstring): flips 2..36, x and y jitter 37 and 38, contrast 39, then
-# attenuation, canvas and the occlusion draws.
+# attenuation, canvas and, per glyph scale, the occlusion test at
+# _AT_OCCLUSION; an example takes at most _MOST_DRAWS draws.
 _AT_FLIPS, _AT_JITTER, _AT_CONTRAST, _AT_ATTENUATION = 2, 37, 39, 40
 _CANVAS = 28 * 28
+_AT_OCCLUSION = [_AT_ATTENUATION + _BITMAPS[0].size * s * s + _CANVAS
+                 for s in _SCALES]
+_MOST_DRAWS = max(_AT_OCCLUSION) + 5    # + width, side, offset, fill
 
-_CHUNK = 256            # examples rendered per vectorized pass
+_CHUNK = 256            # examples rendered per vectorized pass, at least
 
 
 def _between(low: float, high: float, u):
@@ -84,57 +90,54 @@ def _between(low: float, high: float, u):
     return u
 
 
-def _layout(rng: RngStream, m: int):
-    """Where each of the next m examples' draws start, read ahead of rng.
-
-    Returns (starts, scale index, occluded, total draws). Only the scale
-    and occlusion draws decide an example's length, and both sit at
-    known offsets from its start, so two peeks per example suffice.
-    """
-    starts = np.empty(m, dtype=np.int64)
-    scale_idx = np.empty(m, dtype=np.int64)
-    occluded = np.empty(m, dtype=bool)
-    at = 0
-    for i in range(m):
-        s = int(rng._peek(at + 1) * len(_SCALES))
-        at_occlusion = (_AT_ATTENUATION + _BITMAPS[0].size * _SCALES[s] ** 2
-                        + _CANVAS)
-        occ = rng._peek(at + at_occlusion) < _OCCLUSION_RATE
-        starts[i], scale_idx[i], occluded[i] = at, s, occ
-        at += at_occlusion + 1 + 4 * occ    # width, side, offset, fill
+def _layout(u, m: int):
+    """(starts, scale index, occluded, draws used) of the first m examples
+    whose draws begin the unit draws u, or of as many as surely fit in u.
+    Only the scale and occlusion draws decide an example's length."""
+    rows, at, v = [], 0, memoryview(u)  # v[i]: a float, read faster than u[i]
+    while len(rows) < m and at + _MOST_DRAWS <= len(u):
+        s = int(v[at + 1] * len(_SCALES))
+        occ = v[at + _AT_OCCLUSION[s]] < _OCCLUSION_RATE
+        rows.append((at, s, occ))
+        at += _AT_OCCLUSION[s] + 1 + 4 * occ    # width, side, offset, fill
+    starts, scale_idx, occluded = map(np.array, zip(*rows))
     return starts, scale_idx, occluded, at
 
 
 def _render_group(u, starts, occluded, scale):
-    """Images and labels of the examples that start at `starts`, all
-    drawn at one glyph scale, from the chunk's unit draws u."""
-    k = len(starts)
+    """(order, images, labels) of the examples that start at `starts[order]`,
+    all drawn at one glyph scale, from the chunk's unit draws u; `order`
+    runs through the jitter offsets in turn, so each offset is one slice."""
     gh, gw = _BITMAPS.shape[1] * scale, _BITMAPS.shape[2] * scale
     at_canvas = _AT_ATTENUATION + gh * gw
-    st = starts[:, None]
+    span = 2 * _JITTER + 1
+    offset = np.floor(u[starts + _AT_JITTER] * span).astype(np.int64) * span
+    offset += np.floor(u[starts + _AT_JITTER + 1] * span).astype(np.int64)
+    order = np.argsort(offset, kind="stable")
+    starts, occluded, offset = starts[order], occluded[order], offset[order]
+    # digit..contrast, attenuation and canvas draws are runs in u, copied
+    # whole from window views rather than gathered by index arrays
+    head, attenuation, canvas = (
+        sliding_window_view(u, length)[starts + at] for at, length in
+        ((0, _AT_ATTENUATION), (_AT_ATTENUATION, gh * gw), (at_canvas, _CANVAS)))
 
-    digits = np.floor(u[starts] * 10).astype(np.int64)
-    flips = u[st + np.arange(_AT_FLIPS, _AT_JITTER)] < _FLIP_RATE
+    digits = np.floor(head[:, 0] * 10).astype(np.int64)
+    flips = head[:, _AT_FLIPS:_AT_JITTER] < _FLIP_RATE
     bitmap = _BITMAPS[digits]
     bitmap = np.where(flips.reshape(bitmap.shape), 1.0 - bitmap, bitmap)
     glyph = bitmap.repeat(scale, axis=1).repeat(scale, axis=2)
-    jitter = np.floor(u[st + [_AT_JITTER, _AT_JITTER + 1]] * (2 * _JITTER + 1))
-    jitter = jitter.astype(np.int64) - _JITTER
-    ox = (28 - gw) // 2 + jitter[:, 0]
-    oy = (28 - gh) // 2 + jitter[:, 1]
-    contrast = _between(130.0, 255.0, u[starts + _AT_CONTRAST])
-    attenuation = _between(
-        0.6, 1.0, u[st + np.arange(_AT_ATTENUATION, at_canvas)]
-    ).reshape(k, gh, gw)
-    canvas = _between(
-        0.0, 50.0, u[st + np.arange(at_canvas, at_canvas + _CANVAS)]
-    ).reshape(k, 28, 28)
-
-    rows = (oy[:, None] + np.arange(gh))[:, :, None]
-    cols = (ox[:, None] + np.arange(gw))[:, None, :]
+    contrast = _between(130.0, 255.0, head[:, _AT_CONTRAST])
+    attenuation = _between(0.6, 1.0, attenuation).reshape(-1, gh, gw)
     attenuation *= glyph    # (glyph * attenuation) * contrast
     attenuation *= contrast[:, None, None]
-    canvas[np.arange(k)[:, None, None], rows, cols] += attenuation
+    canvas = canvas.reshape(-1, 28, 28)
+    canvas *= 50.0  # 0 + 50 u: adding 0.0 changes no bit of a value >= 0
+
+    ox = (28 - gw) // 2 + offset // span - _JITTER
+    oy = (28 - gh) // 2 + offset % span - _JITTER
+    bounds = np.flatnonzero(np.diff(offset, prepend=-1, append=span * span))
+    for a, b in zip(bounds[:-1], bounds[1:]):   # one slice-add per offset
+        canvas[a:b, oy[a]:oy[a] + gh, ox[a]:ox[a] + gw] += attenuation[a:b]
 
     for j in np.flatnonzero(occluded):
         at = starts[j] + at_canvas + _CANVAS    # the occlusion draw
@@ -146,7 +149,8 @@ def _render_group(u, starts, occluded, scale):
         else:
             col = ox[j] + int(u[at + 3] * (gw - width))
             canvas[j, oy[j]:oy[j] + gh, col:col + width] = fill
-    return np.clip(canvas, 0, 255, out=canvas).astype(np.uint8), digits
+    # every term is >= 0, so clipping to [0, 255] is a minimum with 255
+    return order, np.minimum(canvas, 255, out=canvas).astype(np.uint8), digits
 
 
 def generate_corpus(n: int, rng: RngStream):
@@ -157,21 +161,24 @@ def generate_corpus(n: int, rng: RngStream):
     """
     images = np.zeros((n, 28, 28), dtype=np.uint8)
     labels = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - lo)
-        starts, scale_idx, occluded, total = _layout(rng, m)
-        u = rng.uniform(size=total)
+    lo = 0
+    while lo < n:
+        u = rng._draws(min(_CHUNK, n - lo) * _MOST_DRAWS, unit=True)
+        starts, scale_idx, occluded, used = _layout(u, n - lo)
+        rng._advance(used)
         for s, scale in enumerate(_SCALES):
             idx = np.flatnonzero(scale_idx == s)
             if idx.size:
-                images[lo + idx], labels[lo + idx] = _render_group(
-                    u, starts[idx], occluded[idx], scale)
+                order, *rendered = _render_group(u, starts[idx],
+                                                 occluded[idx], scale)
+                images[lo + idx[order]], labels[lo + idx[order]] = rendered
+        lo += len(starts)
     return images, labels
 
 
 def write_corpus(out_dir, n_train: int = 7000, n_test: int = 1500,
                  seed: int = 901) -> Path:
-    """Write a synthetic corpus as the four standard-named IDX files."""
+    """Atomically write a synthetic corpus as the standard-named IDX files."""
     for name, count in (("n_train", n_train), ("n_test", n_test)):
         if count < 0:
             raise ValueError(f"{name} must be >= 0, got {count}")
@@ -186,5 +193,5 @@ def write_corpus(out_dir, n_train: int = 7000, n_test: int = 1500,
         "test_labels": test_labels.astype(np.uint8),
     }
     for key, arr in payload.items():
-        (out_dir / STANDARD_NAMES[key]).write_bytes(serialize_idx(arr))
+        write_atomic(out_dir / STANDARD_NAMES[key], idx_header(arr), arr)
     return out_dir

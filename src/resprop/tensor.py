@@ -29,12 +29,7 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _unit(raw: int) -> float:
-    """The unit uniform of one raw draw: its high 53 bits times 2^-53."""
-    return (raw >> 11) * 2.0**-53
-
-
-# Draws per pass of `_next_block`: the pass and its scratch (128 KiB
+# Draws per pass of `_draws`: the pass and its scratch (128 KiB
 # each) stay in L2 while the finalizer runs over them.
 _BLOCK_DRAWS = 16384
 
@@ -78,31 +73,41 @@ class RngStream:
         return self._position
 
     def next_uint64(self) -> int:
-        self._state = (self._state + self._gamma) & _MASK64
-        self._position += 1
+        self._advance(1)
         return _mix64(self._state)
 
-    def _peek(self, k: int) -> float:
-        """The `uniform()` draw k places ahead (0 = the next), unconsumed."""
-        return _unit(_mix64(self._state + (k + 1) * self._gamma))
-
-    def _next_block(self, n: int) -> np.ndarray:
-        """n raw draws as uint64, bit-identical to n `next_uint64` calls."""
+    def _draws(self, n: int, unit: bool = False) -> np.ndarray:
+        """The next n draws, not consumed: raw uint64, bit-identical to n
+        `next_uint64` calls, or with `unit` their unit uniforms (high 53
+        bits times 2^-53), each pass converted while it is in cache."""
         if n < 0:
             raise ValueError(f"block size must be >= 0, got {n}")
-        out = np.empty(n, dtype=np.uint64)
+        out = np.empty(n, dtype=np.float64 if unit else np.uint64)
         m = min(n, _BLOCK_DRAWS)
         # ramp[j] = (j + 1) * gamma mod 2^64; each pass adds its base state
         ramp = np.arange(1, m + 1, dtype=np.uint64)
         np.multiply(ramp, np.uint64(self._gamma), out=ramp)
-        tmp = np.empty(m, dtype=np.uint64)
+        tmp, raw = np.empty((2, m), dtype=np.uint64)
         for a in range(0, n, _BLOCK_DRAWS):
-            z = out[a:a + _BLOCK_DRAWS]
+            o = out[a:a + _BLOCK_DRAWS]
+            z = raw[:len(o)] if unit else o
             base = (self._state + a * self._gamma) & _MASK64
-            np.add(ramp[:len(z)], np.uint64(base), out=z)
-            _mix64_inplace(z, tmp[:len(z)])
+            np.add(ramp[:len(o)], np.uint64(base), out=z)
+            _mix64_inplace(z, tmp[:len(o)])
+            if unit:    # < 2^53: the cast to float64 and the scaling are exact
+                np.right_shift(z, 11, out=z)
+                np.multiply(z.view(np.int64), 2.0**-53, out=o)
+        return out
+
+    def _advance(self, n: int) -> None:
+        """Consume n draws without computing them."""
         self._state = (self._state + n * self._gamma) & _MASK64
         self._position += n
+
+    def _next_block(self, n: int) -> np.ndarray:
+        """n raw draws as uint64, bit-identical to n `next_uint64` calls."""
+        out = self._draws(n)
+        self._advance(n)
         return out
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
@@ -112,13 +117,11 @@ class RngStream:
         the high 53 bits scaled by 2^-53.
         """
         if size is None:
-            return low + (high - low) * _unit(self.next_uint64())
+            return low + (high - low) * ((self.next_uint64() >> 11) * 2.0**-53)
         shape = (size,) if np.isscalar(size) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
-        bits = self._next_block(n)
-        np.right_shift(bits, 11, out=bits)
-        u = bits.view(np.int64).astype(np.float64)  # < 2^53: exact, faster
-        u *= 2.0**-53
+        u = self._draws(n, unit=True)
+        self._advance(n)
         u *= high - low
         u += low    # low + (high - low) * u, as in the scalar path
         return u.reshape(shape)

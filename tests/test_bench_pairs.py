@@ -2,11 +2,13 @@
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from resprop import harness
+from resprop.data import STANDARD_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -172,3 +174,42 @@ class TestArtifactRuns:
         assert cfg.dropout_spec().is_off and spec.dropout_spec().is_off
         assert spec.stacker_dropout_hidden == 0.0
         assert cfg.batch_size == cfg.train_size
+
+
+class TestCorpora:
+    # appended to a copy of synthetic.py: every image corpus it renders
+    # has one pixel of its first image changed
+    FLIP = ("\n_render = generate_corpus\n\n\n"
+            "def generate_corpus(n, rng):\n"
+            "    images, labels = _render(n, rng)\n"
+            "    images[:1, 0, 0] ^= 1\n"
+            "    return images, labels\n")
+
+    def test_each_tree_writes_its_own_corpus(self, tmp_path, capsys):
+        flipped = tmp_path / "flipped"
+        shutil.copytree(ROOT / "src", flipped / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = flipped / "src" / "resprop" / "synthetic.py"
+        path.write_text(path.read_text() + self.FLIP)
+        for base, code, differ in ((ROOT, 0, []),
+                                   (flipped, 1, ["t10k-images-idx3-ubyte",
+                                                 "train-images-idx3-ubyte"])):
+            work = tmp_path / f"work-{code}"
+            work.mkdir()
+            corpora = bench_pairs.write_corpora(
+                {"base": base, "change": ROOT}, work)
+            assert sorted(p.name for p in corpora["change"].iterdir()) == \
+                sorted(STANDARD_NAMES.values())
+            assert bench_pairs.report_differences(
+                "corpus", corpora["base"], corpora["change"], "files") == code
+            lines = capsys.readouterr().out.splitlines()
+            assert lines == [f"DIFFERS: corpus/{name}" for name in differ] + [
+                f"corpus: {len(differ)} of 4 files differ"]
+
+    def test_a_failed_synth_is_reported(self, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        (broken / "src").mkdir(parents=True)
+        assert bench_pairs.write_corpora(
+            {"base": broken, "change": ROOT}, tmp_path) is None
+        assert capsys.readouterr().out.startswith(
+            "NONZERO EXIT 1: resprop synth of base")

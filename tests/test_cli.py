@@ -226,6 +226,28 @@ class TestEvaluate:
         assert err.startswith(f"error: corrupt gzip file {packed}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("cut, message", [
+        (lambda raw: raw[:-10], "truncated IDX payload: data ends at offset "),
+        (lambda raw: b"\x00\x00\x08\x00\x07",
+         "IDX header declares 0 dimensions"),
+    ], ids=["payload", "zero-dims"])
+    def test_bad_plain_test_images_exit_2_naming_the_file(
+            self, corpus_dir, tmp_path, capsys, cut, message):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in corpus_dir.iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        bad = data / "t10k-images-idx3-ubyte"
+        bad.write_bytes(cut(bad.read_bytes()))
+        model = tmp_path / "m.ckpt"
+        save_checkpoint(model, init_params(chain_specs((784, 10)),
+                                           RngStream(1, 0)))
+        rc = main(["evaluate", "--model", str(model), "--data", str(data)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {bad}: {message}")
+        assert err.count("\n") == 1
+
     def test_every_truncated_checkpoint_exits_2(self, corpus_dir, tmp_path,
                                                 capsys):
         params = init_params(chain_specs((3, 4, 2)), RngStream(5, 0))

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from resprop import synthetic
 from resprop.data import (
     Dataset,
     IdxFormatError,
@@ -86,6 +87,12 @@ class TestParseIdx:
         with pytest.raises(IdxFormatError, match="overflow"):
             parse_idx(data)
 
+    def test_zero_dims_rejected(self):
+        for data in (b"\x00\x00\x08\x00", b"\x00\x00\x08\x00\x07"):
+            with pytest.raises(IdxFormatError,
+                               match="declares 0 dimensions at offset 3"):
+                parse_idx(data)
+
     def test_round_trip_bytes_identical(self):
         for fixture in (image_fixture(), label_fixture([0, 9, 5])):
             assert serialize_idx(parse_idx(fixture)) == fixture
@@ -100,6 +107,9 @@ class TestParseIdx:
     def test_serialize_rejects_wrong_dtype(self):
         with pytest.raises(ValueError, match="uint8"):
             serialize_idx(np.zeros((2, 2), dtype=np.float64))
+        # a 0-dim header, which parse_idx rejects
+        with pytest.raises(ValueError, match=r"1\+ dims, got uint8 in 0"):
+            serialize_idx(np.uint8(3))
 
 
 class TestReadIdx:
@@ -130,6 +140,29 @@ class TestReadIdx:
                            match=f"corrupt gzip file {re.escape(str(packed))}: "
                                  f"Error -3 "):
             read_idx(packed)
+
+    @pytest.mark.parametrize("data, message", [
+        (image_fixture()[:-10], "truncated IDX payload: data ends at offset "
+                                "1574, expected 1584"),
+        (b"\x00\x00\x08\x00\x07", "IDX header declares 0 dimensions"),
+        (b"\x00\x00", "truncated IDX header"),
+    ], ids=["payload", "zero-dims", "header"])
+    def test_format_errors_name_the_file(self, tmp_path, data, message):
+        plain = tmp_path / "bad-idx"
+        packed = tmp_path / "bad-idx.gz"
+        plain.write_bytes(data)
+        packed.write_bytes(gzip.compress(data))
+        for path in (plain, packed):
+            with pytest.raises(IdxFormatError) as info:
+                read_idx(path)
+            assert str(info.value).startswith(f"{path}: {message}")
+
+    def test_plain_file_array_is_a_view_of_its_bytes(self, tmp_path):
+        path = tmp_path / "plain-idx"
+        path.write_bytes(image_fixture())
+        arr = read_idx(path)
+        assert not arr.flags.owndata and not arr.flags.writeable
+        assert arr.tobytes() == image_fixture()[16:]
 
 
 class TestDataset:
@@ -200,6 +233,22 @@ class TestLoadSplits:
             assert part.pixels.dtype == np.uint8
             assert part.pixels.shape == (len(part), 784)
         assert sum(part.pixels.nbytes for part in splits) == (3 + 2 + 4) * 784
+
+    def test_splits_own_their_pixels(self, tmp_path):
+        plain = write_corpus(tmp_path / "plain", 30, 12, seed=55)
+        packed = tmp_path / "packed"
+        packed.mkdir()
+        for f in plain.iterdir():
+            (packed / (f.name + ".gz")).write_bytes(gzip.compress(f.read_bytes()))
+        for test_size in (None, 5):
+            got = load_splits_from_dir(plain, 20, 10, test_size)
+            want = load_splits_from_dir(packed, 20, 10, test_size)
+            for part, ref in zip(got, want):
+                assert part.pixels.dtype == np.uint8
+                assert part.pixels.flags.owndata
+                assert part.pixels.flags.c_contiguous
+                assert np.array_equal(part.pixels, ref.pixels)
+                assert np.array_equal(part.labels, ref.labels)
 
     def test_split_disjoint_union_is_prefix(self, tmp_path):
         d = write_pair_dir(tmp_path)
@@ -292,6 +341,21 @@ class TestSyntheticCorpus:
         for name in ("train-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
             raw = (out / name).read_bytes()
             assert serialize_idx(parse_idx(raw)) == raw
+
+    def test_failed_write_leaves_no_file_at_its_name(self, tmp_path,
+                                                     monkeypatch):
+        real, paths = synthetic.write_atomic, []
+
+        def payload_fails_second_time(path, header, payload):
+            paths.append(path)
+            # the header goes into <path>.tmp, then the payload write raises
+            real(path, header, payload if len(paths) != 2 else object())
+
+        monkeypatch.setattr(synthetic, "write_atomic", payload_fails_second_time)
+        with pytest.raises(TypeError):
+            write_corpus(tmp_path, 30, 12, seed=55)
+        assert len(paths) == 2 and not paths[1].exists()
+        assert [p.name for p in tmp_path.iterdir()] == [paths[0].name]
 
     def test_corpus_dir_fixture_full_invariants(self, data_dir):
         # full-file scan of the session corpus: labels in range, pixels

@@ -52,14 +52,19 @@ class TestRngStream:
         assert block.position == scalar.position == n + 1
         assert block.next_uint64() == scalar.next_uint64()
 
-    def test_peek_does_not_consume(self):
-        rng = RngStream(8, 1)
+    def test_draws_are_not_consumed_until_advanced(self):
+        rng, ref = RngStream(8, 1), RngStream(8, 1)
         rng.uniform(size=5)
+        ref.uniform(size=5)
         state, position = rng._state, rng.position
-        ahead = [rng._peek(k) for k in (2, 0, 1, 2)]
+        units, raw = rng._draws(4, unit=True), rng._draws(4)
         assert (rng._state, rng.position) == (state, position)
-        drawn = [rng.uniform() for _ in range(3)]
-        assert ahead == [drawn[2], drawn[0], drawn[1], drawn[2]]
+        expected = [ref.next_uint64() for _ in range(4)]
+        assert raw.dtype == np.uint64 and raw.tolist() == expected
+        assert units.tolist() == [(x >> 11) * 2.0**-53 for x in expected]
+        rng._advance(3)
+        assert rng.position == position + 3
+        assert rng.uniform() == units[3]
 
     def test_pinned_uniform_and_permutation(self):
         # values measured before block draws were computed in passes
