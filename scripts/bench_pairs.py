@@ -8,9 +8,10 @@ side per workload. It prints, per workload and end-to-end metric, each
 side's median and quartiles, the change of the median, the base's
 interquartile range, how many pairs the change won (ties count for
 neither side) and how many were equal; for the traced runs, both
-`harness.run_experiment` fractions and the call counts of the optimizer
-kernels and of `ensemble.bootstrap_resample`; and every run that
-exited nonzero, with its PROBLEM lines.
+`harness.run_experiment` fractions, the call counts of the optimizer
+kernels and of `ensemble.bootstrap_resample`, and the design margin
+(`design_margin`); per workload, the change's margin minus the base's;
+and every run that exited nonzero, with its PROBLEM lines.
 
 Verdicts: a BOUND EXCEEDED line names each workload and end-to-end
 metric whose change median is worse than the base median by more than
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -279,6 +281,30 @@ def report_pairs(workload: str, pairs: list[tuple[dict, dict]],
     return out, summaries
 
 
+def design_margin(run: dict) -> float:
+    """A traced run's `optimizer_frac - network_frac` (nan if either is
+    missing): perfbench's full-scale design check needs it above 0 on
+    desk-dropout and below 0 on fullbatch-nodrop."""
+    m = run["metrics"]
+    return m.get(TRACE_KEYS[0], math.nan) - m.get(TRACE_KEYS[1], math.nan)
+
+
+def report_traced(workload: str, traced: list[dict]) -> list[str]:
+    """Report lines for one workload's traced runs: each run's TRACE_KEYS
+    and design margin, then the change's margin minus the base's."""
+    out, margins = [], {}
+    for r in traced:
+        margins[r["side"]] = design_margin(r)
+        fracs = ", ".join(f"{k} {r['metrics'].get(k, math.nan):.4g}"
+                          for k in TRACE_KEYS)
+        out.append(f"traced {r['side']} (seed {r['seed']}, exit {r['exit']}): "
+                   f"{fracs}, margin {margins[r['side']]:+.4f}")
+    if margins.keys() == {"base", "change"}:
+        out.append(f"traced {workload} margin change - base: "
+                   f"{margins['change'] - margins['base']:+.4f}")
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True,
@@ -346,12 +372,8 @@ def main(argv=None) -> int:
             workload, list(zip(untraced["base"], untraced["change"])), better)
         lines += report
         summaries.update(found)
-        for r in runs:
-            if r["workload"] == workload and r["trace"]:
-                fracs = ", ".join(f"{k} {r['metrics'].get(k, float('nan')):.4g}"
-                                  for k in TRACE_KEYS)
-                lines.append(f"traced {r['side']} (seed {r['seed']}, exit "
-                             f"{r['exit']}): {fracs}")
+        lines += report_traced(workload, [r for r in runs if r["trace"]
+                                          and r["workload"] == workload])
     failed = [r for r in runs if r["exit"]]
     for r in failed:
         lines.append(f"NONZERO EXIT {r['exit']}: {r['side']} {r['workload']} "

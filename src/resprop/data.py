@@ -6,8 +6,9 @@ dimension-count byte, then one big-endian uint32 size per dimension,
 followed by the raw payload. Image files carry magic 0x00000803
 (2051, three dims n x rows x cols); label files carry 0x00000801
 (2049, one dim). Gzip-compressed files are detected by their two-byte
-signature and decompressed transparently. Every format error names the
-file; a parsed array views the bytes read, and each split copies its rows.
+signature and decompressed transparently. Every format, shape, count or
+label error names the file; a parsed array views the bytes read, and
+each split copies its rows.
 
 Loaded pixels stay uint8 until `Dataset.batch` scales them by 1/255. Splits
 are taken in file order: the first `train_size` examples train, the next
@@ -151,24 +152,28 @@ class DataSplits(NamedTuple):
 
 
 def _images_to_dataset(images: np.ndarray, labels: np.ndarray) -> Dataset:
-    if images.ndim != 3:
-        raise ValueError(f"expected n x rows x cols images, got {images.shape}")
-    if labels.ndim != 1:
-        raise ValueError(f"expected a label vector, got shape {labels.shape}")
-    n = images.shape[0]
-    if labels.max() > 9:
-        raise ValueError(
-            f"labels must be digit classes in [0, 10), got max {labels.max()}"
-        )
-    # a copy, so a prefix does not pin the whole file's payload
-    return Dataset(images.reshape(n, -1).copy(), labels.astype(np.int64))
+    # copies (Dataset converts the labels), so a prefix does not pin the
+    # whole file's payload
+    return Dataset(images.reshape(len(images), -1).copy(), labels)
 
 
 def _read_pair(images_path, labels_path, which: str):
+    """The image and label arrays of one IDX pair; every shape, count or
+    label error names the file at fault."""
     images, labels = read_idx(images_path), read_idx(labels_path)
+    if images.ndim != 3:
+        raise ValueError(f"{images_path}: expected n x rows x cols images, "
+                         f"got shape {images.shape}")
+    if labels.ndim != 1:
+        raise ValueError(f"{labels_path}: expected a label vector, got shape "
+                         f"{labels.shape}")
     if len(images) != len(labels):
-        raise ValueError(f"{which} pair disagrees: {len(images)} images vs "
-                         f"{len(labels)} labels")
+        raise ValueError(f"{which} pair disagrees: {len(images)} images in "
+                         f"{images_path} vs {len(labels)} labels in "
+                         f"{labels_path}")
+    if labels.size and labels.max() > 9:
+        raise ValueError(f"{labels_path}: labels must be digit classes in "
+                         f"[0, 10), got max {labels.max()}")
     return images, labels
 
 

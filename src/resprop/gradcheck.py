@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (Gradients, NetworkParams, backward, forward, locate,
-                      nll_loss)
+from .network import NetworkParams, backward, forward, locate, nll_loss
 
 DEFAULT_H = 1e-5
 REL_FLOOR = 1e-5
@@ -30,8 +29,9 @@ def _loss_at(params: NetworkParams, x, labels, mask) -> float:
 
 def finite_difference_gradients(params: NetworkParams, x, labels,
                                 h: float = DEFAULT_H,
-                                mask=None) -> Gradients:
-    """Central differences (f(w+h) - f(w-h)) / 2h for every coordinate."""
+                                mask=None) -> NetworkParams:
+    """Central differences (f(w+h) - f(w-h)) / 2h for every coordinate,
+    as params of the same specs over one new buffer."""
     if not 0 < h < np.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
     work = params.copy()
@@ -45,7 +45,7 @@ def finite_difference_gradients(params: NetworkParams, x, labels,
         down = _loss_at(work, x, labels, mask)
         flat[i] = orig
         grads[i] = (up - down) / (2.0 * h)
-    return Gradients.from_flat(work.specs, grads)
+    return NetworkParams.from_flat(work.specs, grads)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ Conventions fixed here and relied on by the optimizers and the trainer:
   biases are float64 vectors of shape (fan_out,);
 * a model's weights and biases are views into one buffer, `flat`, in
   checkpoint order (layer 0's weights, then its bias, then layer 1...);
-  gradients and Rprop state share that layout, so a per-weight rule
-  walks one flat array and a checkpoint section is the buffer's bytes,
-  the same bytes as when each array was written on its own;
+  gradients are `NetworkParams` too, and Rprop state is two buffers of
+  that layout, so a per-weight rule walks one flat array and a
+  checkpoint section is the buffer's bytes, the same bytes as when each
+  array was written on its own;
 * a batch is a (n, fan_in) matrix, one example per row;
 * the final layer's activation is applied and the result fed through a
   row-wise softmax, so class probabilities always sum to 1 per row;
@@ -148,14 +149,6 @@ def flat_views(flat: np.ndarray, shapes) -> tuple[list, list]:
     return views[0::2], views[1::2]
 
 
-def flatten(weights, biases) -> tuple[np.ndarray, list, list]:
-    """Copies per-layer arrays into one new buffer in the first weight
-    matrix's dtype: (buffer, weight views, bias views)."""
-    arrays = [a for pair in zip(weights, biases, strict=True) for a in pair]
-    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=weights[0].dtype)
-    return (flat, *flat_views(flat, [a.shape for a in arrays]))
-
-
 def locate(specs, i: int) -> tuple[int, str, tuple]:
     """Flat index `i` of a model's buffer as (layer, "weights" or
     "biases", index into that array)."""
@@ -179,7 +172,8 @@ def check_finite(specs, flat: np.ndarray, what: str) -> None:
 @dataclass
 class NetworkParams:
     """Per-layer weight matrices and bias vectors, views into `flat`
-    (built from lists, they are copied into a new buffer)."""
+    (built from lists, they are copied into a new buffer in the first
+    weight matrix's dtype)."""
 
     specs: tuple[LayerSpec, ...]
     weights: list[np.ndarray]
@@ -190,7 +184,10 @@ class NetworkParams:
         self.specs = tuple(self.specs)
         _check_chain(self.specs)
         check_layout(self.specs, self.weights, self.biases, "parameter")
-        self.flat, self.weights, self.biases = flatten(self.weights, self.biases)
+        arrays = [np.ravel(a) for pair in zip(self.weights, self.biases)
+                  for a in pair]
+        self.flat = np.concatenate(arrays, dtype=self.weights[0].dtype)
+        self.weights, self.biases = flat_views(self.flat, layout(self.specs))
 
     @classmethod
     def from_flat(cls, specs, flat: np.ndarray) -> "NetworkParams":
@@ -219,27 +216,6 @@ class NetworkParams:
 
     def copy(self) -> "NetworkParams":
         return NetworkParams.from_flat(self.specs, self.flat.copy())
-
-
-@dataclass
-class Gradients:
-    """Loss gradients, shaped and laid out like the NetworkParams they
-    came from (built from lists, they are copied into a new buffer)."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.flat, self.weights, self.biases = flatten(self.weights, self.biases)
-
-    @classmethod
-    def from_flat(cls, specs, flat: np.ndarray) -> "Gradients":
-        """Gradients of a model of `specs`, views into `flat` itself."""
-        grads = cls.__new__(cls)
-        grads.flat = flat
-        grads.weights, grads.biases = flat_views(flat, layout(specs))
-        return grads
 
 
 def parse_init_rule(scale_rule: str):
@@ -421,8 +397,9 @@ def nll_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:
 
 
 def backward(params: NetworkParams, cache: ForwardPass,
-             labels: np.ndarray) -> Gradients:
-    """Exact gradient of nll_loss(forward(params, x, mask), labels).
+             labels: np.ndarray) -> NetworkParams:
+    """Exact gradient of nll_loss(forward(params, x, mask), labels), as
+    params of the same specs over one new buffer.
 
     `cache` must come from a `forward` call on these same `params`;
     anything else is a stale cache and is rejected. The mask, if any, is
@@ -451,7 +428,7 @@ def backward(params: NetworkParams, cache: ForwardPass,
     dz[np.arange(n), labels] -= 1.0
     dz /= n
 
-    grads = Gradients.from_flat(params.specs, np.empty(params.flat.size))
+    grads = NetworkParams.from_flat(params.specs, np.empty(params.flat.size))
     for l in range(params.num_layers - 1, -1, -1):
         if cache.derivatives[l] is not None:
             dz *= cache.derivatives[l]

@@ -36,8 +36,10 @@ Both rules run in one kernel, `_rprop_update`. They differ only in the
 node mask, which the classic rule does not have, and in one flag for the
 genuine-zero branch (stored gradient nonzero, gradient zero): the
 classic rule moves by zero and stores the gradient, the mask-aware rule
-holds; a mask whose nodes are all live is dropped. Params, gradients and
-state keep every layer in one flat buffer in one order (see
+holds; a mask whose nodes are all live is dropped. Gradients are
+`NetworkParams` of the model's specs, and `RpropState(specs, delta,
+prev)` is built from two flat buffers, so params, gradients and state
+keep every layer in one flat buffer in one order (see
 `resprop.network`), and a kernel walks that one array in blocks whose
 operands and scratch fit a 2 MiB L2 cache, reusing the scratch for every
 block. It selects each result with bitwise masks on int64 views rather
@@ -60,13 +62,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dropout import DropoutMask
-from .network import (Gradients, NetworkParams, check_finite, check_layout,
-                      check_mask, flat_views, flatten, layout)
+from .network import (NetworkParams, check_finite, check_layout, check_mask,
+                      flat_views, layout)
 
 logger = logging.getLogger(__name__)
 
@@ -119,34 +121,19 @@ class RpropConfig:
             )
 
 
-@dataclass
 class RpropState:
-    """Per-weight step sizes and stored previous gradients: views into
-    `delta` and `prev`, each laid out like `NetworkParams.flat` (built
-    from lists, they are copied into new buffers)."""
+    """Per-weight step sizes and stored previous gradients of a model of
+    `specs`: the buffers `delta` and `prev`, each laid out like
+    `NetworkParams.flat`, and per-layer views into them (`delta_w`,
+    `delta_b`, `prev_w`, `prev_b`)."""
 
-    delta_w: list[np.ndarray]
-    delta_b: list[np.ndarray]
-    prev_w: list[np.ndarray]
-    prev_b: list[np.ndarray]
-    delta: np.ndarray = field(init=False, repr=False)
-    prev: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.delta, self.delta_w, self.delta_b = flatten(self.delta_w, self.delta_b)
-        self.prev, self.prev_w, self.prev_b = flatten(self.prev_w, self.prev_b)
-
-    @classmethod
-    def from_flat(cls, specs, delta: np.ndarray, prev: np.ndarray) -> "RpropState":
-        """State of a model of `specs`, views into `delta` and `prev` themselves."""
-        state = cls.__new__(cls)
-        state.delta, state.prev = delta, prev
-        state.delta_w, state.delta_b = flat_views(delta, layout(specs))
-        state.prev_w, state.prev_b = flat_views(prev, layout(specs))
-        return state
+    def __init__(self, specs, delta: np.ndarray, prev: np.ndarray):
+        self.specs, self.delta, self.prev = tuple(specs), delta, prev
+        self.delta_w, self.delta_b = flat_views(delta, layout(self.specs))
+        self.prev_w, self.prev_b = flat_views(prev, layout(self.specs))
 
     def copy(self) -> "RpropState":
-        return RpropState(self.delta_w, self.delta_b, self.prev_w, self.prev_b)
+        return RpropState(self.specs, self.delta.copy(), self.prev.copy())
 
 
 def init_rprop_state(params: NetworkParams, cfg: RpropConfig) -> RpropState:
@@ -155,8 +142,8 @@ def init_rprop_state(params: NetworkParams, cfg: RpropConfig) -> RpropState:
     With zero stored gradients the first step lands in the zero-product
     branch and moves every weight by -sgn(g) * delta_init.
     """
-    return RpropState.from_flat(params.specs, np.full_like(params.flat, cfg.delta_init),
-                                np.zeros_like(params.flat))
+    return RpropState(params.specs, np.full_like(params.flat, cfg.delta_init),
+                      np.zeros_like(params.flat))
 
 
 I8, I64, F64 = np.int8, np.int64, np.float64
@@ -174,7 +161,7 @@ def _bits(x) -> np.int64:
 _ONE, _INF = _bits(1.0), _bits(np.inf)
 
 
-def sgd_step(params: NetworkParams, grads: Gradients, cfg: SgdConfig, *,
+def sgd_step(params: NetworkParams, grads: NetworkParams, cfg: SgdConfig, *,
              out: NetworkParams | None = None) -> NetworkParams:
     """w <- w - learning_rate * g, elementwise. Returns the stepped params:
     `params` itself when `out` is `params`, else a stepped copy."""
@@ -319,7 +306,7 @@ def _rprop(params, grads, state, cfg, mask, out):
     return out
 
 
-def rprop_step(params: NetworkParams, grads: Gradients, state: RpropState,
+def rprop_step(params: NetworkParams, grads: NetworkParams, state: RpropState,
                cfg: RpropConfig, *,
                out: tuple[NetworkParams, RpropState] | None = None):
     """One classic Rprop transition. Returns (params', state'): `out`,
@@ -327,8 +314,8 @@ def rprop_step(params: NetworkParams, grads: Gradients, state: RpropState,
     return _rprop(params, grads, state, cfg, None, out)
 
 
-def dropout_rprop_step(params: NetworkParams, grads: Gradients, state: RpropState,
-                       cfg: RpropConfig, mask: DropoutMask, *,
+def dropout_rprop_step(params: NetworkParams, grads: NetworkParams,
+                       state: RpropState, cfg: RpropConfig, mask: DropoutMask, *,
                        out: tuple[NetworkParams, RpropState] | None = None):
     """One mask-aware Rprop transition. Returns (params', state') like
     `rprop_step`.

@@ -165,8 +165,8 @@ def load_checkpoint(path):
         missing = "prevgrad" if "delta" in sections else "delta"
         raise ValueError(f"checkpoint is missing its {missing} section")
     if "delta" in sections:
-        state = RpropState.from_flat(specs, _unpack_flat(sections, "delta", specs),
-                                     _unpack_flat(sections, "prevgrad", specs))
+        state = RpropState(specs, _unpack_flat(sections, "delta", specs),
+                           _unpack_flat(sections, "prevgrad", specs))
 
     cfg = None
     if "rprophp" in sections:

@@ -35,7 +35,6 @@ from resprop.dropout import DropoutMask, DropoutSpec, all_ones_mask, sample_mask
 from resprop.ensemble import EnsembleSpec, train_ensemble
 from resprop.gradcheck import gradient_check
 from resprop.network import (
-    Gradients,
     LayerSpec,
     NetworkParams,
     chain_specs,
@@ -127,18 +126,21 @@ def test_criterion_1_gradient_correctness():
                   "%.1fs" % (checked, worst, elapsed))
 
 
+ONE_WEIGHT = (LayerSpec(1, 1, "identity"),)
+
+
 def one_weight_net(w=0.0):
-    return NetworkParams((LayerSpec(1, 1, "identity"),),
-                         [np.array([[float(w)]])], [np.zeros(1)])
+    return NetworkParams(ONE_WEIGHT, [np.array([[float(w)]])], [np.zeros(1)])
 
 
 def one_weight_state(delta, prev):
-    return RpropState([np.array([[float(delta)]])], [np.full(1, 0.1)],
-                      [np.array([[float(prev)]])], [np.zeros(1)])
+    # flat buffers: the weight's entry, then the bias's
+    return RpropState(ONE_WEIGHT, np.array([float(delta), 0.1]),
+                      np.array([float(prev), 0.0]))
 
 
 def one_weight_grads(g):
-    return Gradients([np.array([[float(g)]])], [np.zeros(1)])
+    return NetworkParams(ONE_WEIGHT, [np.array([[float(g)]])], [np.zeros(1)])
 
 
 def one_weight_mask(live: bool):
@@ -201,7 +203,8 @@ def test_criterion_3_reduction_equivalence():
     grad_rng = RngStream(4, 0)
     identical = True
     for _ in range(100):
-        grads = Gradients(
+        grads = NetworkParams(
+            params_a.specs,
             [grad_rng.uniform(-1.0, 1.0, size=w.shape) for w in params_a.weights],
             [grad_rng.uniform(-1.0, 1.0, size=b.shape) for b in params_a.biases],
         )
@@ -232,7 +235,8 @@ def test_criterion_4_mask_freeze_invariant():
     violations = 0
     for _ in range(1000):
         mask = sample_mask(spec, specs, rng)
-        grads = Gradients(
+        grads = NetworkParams(
+            specs,
             [rng.uniform(-1.0, 1.0, size=w.shape) for w in params.weights],
             [rng.uniform(-1.0, 1.0, size=b.shape) for b in params.biases],
         )

@@ -121,6 +121,34 @@ class TestClaimMet:
         assert not bench_pairs.claim_met(s, "higher")
 
 
+class TestTracedReport:
+    def run(self, side, optimizer_frac, network_frac, exit=0):
+        return {"side": side, "seed": 11, "exit": exit, "metrics": {
+            "harness.run_experiment.optimizer_frac": optimizer_frac,
+            "harness.run_experiment.network_frac": network_frac}}
+
+    def test_margins_and_their_change(self):
+        lines = bench_pairs.report_traced("desk-dropout", [
+            self.run("base", 0.470, 0.440), self.run("change", 0.456, 0.438)])
+        assert lines[0].startswith("traced base (seed 11, exit 0): ")
+        assert lines[0].endswith(", margin +0.0300")
+        assert lines[1].endswith(", margin +0.0180")
+        assert lines[2:] == ["traced desk-dropout margin change - base: -0.0120"]
+
+    def test_a_failing_margin_reads_negative(self):
+        lines = bench_pairs.report_traced("desk-dropout", [
+            self.run("base", 0.45, 0.44), self.run("change", 0.43, 0.44, 1)])
+        assert lines[1].startswith("traced change (seed 11, exit 1): ")
+        assert lines[1].endswith(", margin -0.0100")
+        assert lines[2].endswith("change - base: -0.0200")
+
+    def test_a_missing_fraction_or_side(self):
+        run = self.run("change", 0.4, 0.3)
+        del run["metrics"]["harness.run_experiment.network_frac"]
+        assert bench_pairs.report_traced("w", [run])[0].endswith(", margin +nan")
+        assert len(bench_pairs.report_traced("w", [self.run("base", 0.4, 0.3)])) == 1
+
+
 class TestDifferingFiles:
     def write(self, root, files):
         for name, data in files.items():

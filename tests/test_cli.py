@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from resprop.cli import main
-from resprop.data import load_test_set
+from resprop.data import load_test_set, read_idx, serialize_idx
 from resprop.harness import RunSummary, export_runs_csv
 from resprop.network import chain_specs, init_params, nll_loss
 from resprop.optimizers import RpropConfig, init_rprop_state
@@ -247,6 +247,43 @@ class TestEvaluate:
         assert rc == 2
         assert err.startswith(f"error: {bad}: {message}")
         assert err.count("\n") == 1
+
+    # Each rewrites one file of the test pair as a well-formed IDX file of
+    # the wrong shape or content: (file, rewrite, message, files named)
+    @pytest.mark.parametrize("which, rewrite, message, named", [
+        ("images", lambda a: a[:-1], "test pair disagrees: 79 images in ",
+         ("images", "labels")),
+        ("images", lambda a: a.reshape(len(a), -1),
+         ": expected n x rows x cols images, got shape (80, 784)", ("images",)),
+        ("images", lambda a: a.ravel()[:9408],
+         ": expected n x rows x cols images, got shape (9408,)", ("images",)),
+        ("labels", lambda a: a.reshape(-1, 2),
+         ": expected a label vector, got shape (40, 2)", ("labels",)),
+        ("labels", lambda a: np.where(np.arange(len(a)) == 50, 77, a),
+         ": labels must be digit classes in [0, 10), got max 77", ("labels",)),
+    ], ids=["count", "2-d-images", "1-d-images", "2-d-labels", "label-range"])
+    def test_misshapen_test_pair_exits_2_naming_the_file(
+            self, corpus_dir, tmp_path, capsys, which, rewrite, message, named):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in corpus_dir.iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        paths = {"images": data / "t10k-images-idx3-ubyte",
+                 "labels": data / "t10k-labels-idx1-ubyte"}
+        arr = read_idx(paths[which])
+        paths[which].write_bytes(serialize_idx(rewrite(arr).astype(np.uint8)))
+        model = tmp_path / "m.ckpt"
+        save_checkpoint(model, init_params(chain_specs((784, 10)),
+                                           RngStream(1, 0)))
+        rc = main(["evaluate", "--model", str(model), "--data", str(data)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        for name in named:
+            assert str(paths[name]) in err
+        if len(named) == 1:
+            assert err.startswith(f"error: {paths[named[0]]}: ")
 
     def test_every_truncated_checkpoint_exits_2(self, corpus_dir, tmp_path,
                                                 capsys):

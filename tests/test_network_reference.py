@@ -17,7 +17,6 @@ from resprop import training
 from resprop.data import Dataset
 from resprop.dropout import DropoutMask, DropoutSpec, sample_mask, sample_masks
 from resprop.network import (
-    Gradients,
     LayerSpec,
     NetworkParams,
     backward,
@@ -118,7 +117,7 @@ def reference_backward(params, cache, labels):
                 da = da * (mask.node_masks[l] * mask.scales[l])
             _, dact = REF_ACT[params.specs[l - 1].activation]
             dz = da * dact(cache.pre_activations[l - 1])
-    return Gradients(grads_w, grads_b)
+    return NetworkParams(params.specs, grads_w, grads_b)
 
 
 def reference_predict_probabilities(params, images, batch_size=EVAL_BATCH):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from resprop import optimizers
 from resprop.dropout import DropoutMask, all_ones_mask
-from resprop.network import Gradients, LayerSpec, NetworkParams, chain_specs, init_params
+from resprop.network import LayerSpec, NetworkParams, chain_specs, init_params
 from resprop.optimizers import (
     RpropConfig,
     RpropState,
@@ -24,18 +24,21 @@ CLASSIC = RpropConfig(eta_plus=1.2, eta_minus=0.5, delta_max=50.0,
                       delta_min=1e-6, delta_init=0.1)
 
 
+ONE_WEIGHT = (LayerSpec(1, 1, "identity"),)
+
+
 def one_weight_net(w=0.0):
-    return NetworkParams((LayerSpec(1, 1, "identity"),),
-                         [np.array([[float(w)]])], [np.zeros(1)])
+    return NetworkParams(ONE_WEIGHT, [np.array([[float(w)]])], [np.zeros(1)])
 
 
 def one_weight_state(delta, prev):
-    return RpropState([np.array([[float(delta)]])], [np.full(1, CLASSIC.delta_init)],
-                      [np.array([[float(prev)]])], [np.zeros(1)])
+    # flat buffers: the weight's entry, then the bias's
+    return RpropState(ONE_WEIGHT, np.array([float(delta), CLASSIC.delta_init]),
+                      np.array([float(prev), 0.0]))
 
 
 def one_weight_grads(g):
-    return Gradients([np.array([[float(g)]])], [np.zeros(1)])
+    return NetworkParams(ONE_WEIGHT, [np.array([[float(g)]])], [np.zeros(1)])
 
 
 def one_weight_mask(live: bool):
@@ -97,7 +100,8 @@ class TestInitState:
         cfg = RpropConfig(delta_init=0.05)
         state = init_rprop_state(params, cfg)
         rng = RngStream(3, 0)
-        grads = Gradients(
+        grads = NetworkParams(
+            params.specs,
             [rng.uniform(-1, 1, size=w.shape).reshape(w.shape)
              for w in params.weights],
             [rng.uniform(-1, 1, size=b.shape) for b in params.biases],
@@ -113,8 +117,9 @@ class TestInitState:
 class TestSgdStep:
     def test_zero_gradient_fixed_point(self):
         params = init_params(chain_specs((3, 4, 2)), RngStream(1, 0))
-        grads = Gradients([np.zeros_like(w) for w in params.weights],
-                          [np.zeros_like(b) for b in params.biases])
+        grads = NetworkParams(params.specs,
+                              [np.zeros_like(w) for w in params.weights],
+                              [np.zeros_like(b) for b in params.biases])
         out = sgd_step(params, grads, SgdConfig(0.1))
         for a, b in zip(out.weights, params.weights):
             assert (a == b).all()
@@ -135,13 +140,14 @@ class TestSgdStep:
         params = init_params(chain_specs((2, 3)), RngStream(1, 0))
         gw = np.zeros((2, 3))
         gw[1, 2] = np.nan
-        grads = Gradients([gw], [np.zeros(3)])
+        grads = NetworkParams(params.specs, [gw], [np.zeros(3)])
         with pytest.raises(ValueError, match=r"layer 0 weights, index \(1, 2\)"):
             sgd_step(params, grads, SgdConfig(0.1))
 
     def test_rejects_shape_mismatch(self):
         params = init_params(chain_specs((2, 3)), RngStream(1, 0))
-        grads = Gradients([np.zeros((3, 2))], [np.zeros(3)])
+        grads = NetworkParams(chain_specs((3, 2)), [np.zeros((3, 2))],
+                              [np.zeros(2)])
         with pytest.raises(ValueError, match="do not match"):
             sgd_step(params, grads, SgdConfig(0.1))
 
@@ -329,7 +335,7 @@ def random_gradient_sequence(shape_params, seed, n_steps, allow_zero=False):
         if allow_zero:
             gw = [np.where(np.abs(g) < 0.2, 0.0, g) for g in gw]
             gb = [np.where(np.abs(g) < 0.2, 0.0, g) for g in gb]
-        seq.append(Gradients(gw, gb))
+        seq.append(NetworkParams(shape_params.specs, gw, gb))
     return seq
 
 
@@ -369,8 +375,8 @@ class TestProperties:
             params = params0.copy()
             state = init_rprop_state(params, cfg)
             for g in seq:
-                scaled = Gradients([scale * a for a in g.weights],
-                                   [scale * a for a in g.biases])
+                scaled = NetworkParams(g.specs, [scale * a for a in g.weights],
+                                       [scale * a for a in g.biases])
                 params, state = rprop_step(params, scaled, state, cfg)
             return params
 
@@ -521,8 +527,10 @@ def reference_step(params, grads, state, cfg, mask):
                            state.prev_b[l], bmasks[l])
         for lst, x in zip(new, (w, b, dw, db, pw, pb)):
             lst.append(x)
-    return (NetworkParams(params.specs, new[0], new[1]),
-            RpropState(new[2], new[3], new[4], new[5]))
+    specs = params.specs
+    return (NetworkParams(specs, new[0], new[1]),
+            RpropState(specs, NetworkParams(specs, new[2], new[3]).flat,
+                       NetworkParams(specs, new[4], new[5]).flat))
 
 
 def all_arrays(params, state):
@@ -606,7 +614,8 @@ class TestFusedKernelMatchesReference:
         ref = (params.copy(), state.copy())
         with mock.patch.object(optimizers, "_BLOCK_ELEMS", block):
             for _ in range(n_steps):
-                grads = Gradients(
+                grads = NetworkParams(
+                    specs,
                     [signed_values(rng, w.shape, 0.3) for w in params.weights],
                     [signed_values(rng, b.shape, 0.3) for b in params.biases])
                 mask = (DropoutMask([node_mask(rng, n) for n in sizes])
@@ -640,6 +649,23 @@ class TestFusedKernelMatchesReference:
             for a, b in zip(out.weights + out.biases, want):
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
+    @pytest.mark.parametrize("kernel", ["copy", "rprop", "dropout"])
+    def test_fresh_state_keeps_specs_and_shares_no_memory(self, kernel):
+        params, grads, state = step_inputs()
+        if kernel == "copy":
+            new_state = state.copy()
+        else:
+            new_params, new_state = kernel_step(kernel, params, grads, state)(None)
+            assert new_params.specs == params.specs
+            assert not np.shares_memory(new_params.flat, params.flat)
+        assert new_state.specs == state.specs == params.specs
+        for buf in (new_state.delta, new_state.prev):
+            for old in (state.delta, state.prev, params.flat, grads.flat):
+                assert not np.shares_memory(buf, old)
+        for view, buf in ((new_state.delta_w + new_state.delta_b, new_state.delta),
+                          (new_state.prev_w + new_state.prev_b, new_state.prev)):
+            assert all(np.shares_memory(v, buf) for v in view)
+
     @pytest.mark.parametrize("kernel", ["sgd", "rprop", "dropout"])
     @pytest.mark.parametrize("sizes", [(3, 4, 2), (3, 5, 2)],
                              ids=["same-shape", "other-shape"])
@@ -672,7 +698,8 @@ class TestFusedKernelMatchesReference:
         # the second weight matrix
         params = init_params(chain_specs((3, 3, 3)), RngStream(8, 0))
         state = init_rprop_state(params, CLASSIC)
-        short = Gradients(params.weights[:1], params.biases[:1])
+        short = NetworkParams(params.specs[:1], params.weights[:1],
+                              params.biases[:1])
         with pytest.raises(ValueError, match="2-layer network"):
             rprop_step(params, short, state, CLASSIC)
         with pytest.raises(ValueError, match="2-layer network"):
@@ -685,6 +712,7 @@ class TestFusedKernelMatchesReference:
     def test_rejects_non_float64_arrays(self):
         params = init_params(chain_specs((3, 2)), RngStream(8, 0))
         state = init_rprop_state(params, CLASSIC)
-        grads = Gradients([np.ones((3, 2), dtype=np.float32)], [np.ones(2)])
+        grads = NetworkParams(params.specs, [np.ones((3, 2), dtype=np.float32)],
+                              [np.ones(2)])
         with pytest.raises(ValueError, match="float64"):
             rprop_step(params, grads, state, CLASSIC)

@@ -6,13 +6,13 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resprop.cli import main
 from resprop.synthetic import (
-    _BITMAPS, _CHUNK, _FLIP_RATE, _JITTER, _OCCLUSION_RATE, _SCALES,
-    generate_corpus, write_corpus,
+    _BITMAPS, _CHUNK, _FLIP_RATE, _JITTER, _MOST_DRAWS, _OCCLUSION_RATE,
+    _SCALES, _layout, generate_corpus, write_corpus,
 )
 from resprop.tensor import RngStream
 
@@ -55,10 +55,25 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def first_chunk_end(seed, stream_id):
+    """How many examples the first chunk of a long corpus on this stream
+    renders: as many as `_layout` finds surely fit in its draws."""
+    u = RngStream(seed, stream_id)._draws(_CHUNK * _MOST_DRAWS, unit=True)
+    return len(_layout(u, _CHUNK * _MOST_DRAWS)[0])
+
+
+# a size, or "end" and "end+1": a corpus that ends exactly where the
+# stream's first chunk ends, and one that renders one example past it
 @given(st.integers(0, 2**63 - 1), st.integers(0, 1000),
-       st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]))
+       st.sampled_from([0, 1, _CHUNK - 1, "end", "end+1", 3 * _CHUNK + 5]))
+@example(7, 0, "end")
+@example(7, 0, "end+1")
 @settings(max_examples=12, deadline=None)
 def test_chunked_corpus_equals_reference_loop(seed, stream_id, n):
+    if isinstance(n, str):
+        end = first_chunk_end(seed, stream_id)
+        assert end > _CHUNK    # so no fixed size near _CHUNK hits it
+        n = end + (n == "end+1")
     ref_rng = RngStream(seed, stream_id)
     rng = RngStream(seed, stream_id)
     ref_images, ref_labels = reference_generate_corpus(n, ref_rng)
